@@ -15,7 +15,6 @@ from .errors import (
     HyperbolicityError,
     MaslovError,
     ModelError,
-    NormalizationError,
     StepSizeError,
     StructureError,
 )
@@ -52,7 +51,6 @@ from .riccati import (
     EigenTrace,
     SymmetricChart,
     integrate_chart,
-    mobius_step,
     riccati_rhs,
     singular_eigenvalue_count,
     singular_threshold,
@@ -60,31 +58,23 @@ from .riccati import (
 from .system import (
     CoefficientField,
     LagrangianFrame,
-    ReferencePlane,
     SymplecticCoefficients,
     chart_from_frame,
     farfield_frame,
-    normalize_reference,
-    standard_reference,
     total_frame_rank_loss,
     validate_coefficients,
 )
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 from .unitary import (
     RotatedCoefficients,
-    SkewHermitian,
     ThetaTrace,
     UnitaryPath,
     UnitarySymmetric,
     cayley,
-    dexpinv,
-    emk_step,
     integrate_unitary,
-    inverse_cayley,
     rotated_coefficients,
     theta_from_chart,
     unitary_from_frame,
-    xi_field,
 )
 
 __version__ = "0.1.0"

@@ -5,8 +5,8 @@ JSON file, MASLOVFLOW_* environment variables, explicit flags.  All floats
 are written with 17 significant digits so identical runs produce
 byte-identical files.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical disagreement
-between backends, 4 model error.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure or
+backend disagreement, 4 model error.
 """
 
 from __future__ import annotations
@@ -24,11 +24,11 @@ from .maslov import BACKENDS, refine_eigenvalue, run_trace, sweep_lambda
 from .models import ModelSpec, get_model
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 from .selftest import SELFTEST_PROPERTIES, run_selftest
-from .unitary import UnitarySymmetric, rotated_coefficients, xi_field
+from .unitary import cayley
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_DISAGREE = 3
+EXIT_NUMERICAL = 3
 EXIT_MODEL = 4
 
 ENV_PREFIX = "MASLOVFLOW_"
@@ -158,9 +158,12 @@ class RunConfig:
         return DEFAULT_TOLERANCES.with_overrides(chart_tol=self.chart_tol)
 
     def require_model(self) -> ModelSpec:
+        """The model named by ``model``, on the window ``x_range``."""
         if not self.model:
             raise ConfigError("missing model (--model)")
-        return ModelSpec.parse(self.model)
+        spec = ModelSpec.parse(self.model)
+        x_minus, x_plus = self.x_range
+        return ModelSpec(spec.name, {**spec.params, "x_minus": x_minus, "x_plus": x_plus})
 
 
 _DEFAULTS = {
@@ -235,21 +238,14 @@ def cmd_trace(cfg: RunConfig) -> int:
 
     if have_unitary:
         us = trace.unitary_path.us
+        sig = trace.unitary_path.sigmas
     else:
-        from .unitary import cayley
-
         us = np.array([cayley(trace.chart_path.chart(i), tol).mat for i in range(grid.size)])
     det_col = np.angle(np.linalg.det(us))
     phase_cols = np.sort(np.angle(np.linalg.eigvals(us)), axis=1)
     if have_chart:
         clip = 1.0 / tol.chart_tol
         mu_cols = np.clip(trace.chart_path.eigen_trace.mu, -clip, clip)
-    if have_unitary:
-        sig = np.zeros((grid.size, n, n), dtype=complex)
-        for m in range(grid.size - 1):
-            h = grid[m + 1] - grid[m]
-            rot = rotated_coefficients(field.evaluate(grid[m], lam))
-            sig[m + 1] = h * xi_field(UnitarySymmetric(us[m]), rot, tol).mat
 
     out_path = cfg.out or f"trace_{spec.name.replace(':', '_')}_{_fmt(lam)}.csv"
     with _open_out(out_path) as fh:
@@ -289,13 +285,13 @@ def cmd_sweep(cfg: RunConfig) -> int:
     out_path = cfg.out or f"sweep_{spec.name.replace(':', '_')}.csv"
     with _open_out(out_path) as fh:
         fh.write("# maslovflow sweep; angles in radians; crossing counts are unsigned; "
-                 "status: ok|skipped|disagree\n")
+                 "status: ok|skipped|disagree|error\n")
         fh.write(f"# model={cfg.model} backend={cfg.backend} workers={cfg.workers}\n")
         fh.write("lambda,theta_end_rad,crossing_count,end_flag,status\n")
         for row in table.rows:
             fh.write(",".join([
                 _fmt(row.lam),
-                _fmt(row.theta_end) if row.status != "skipped" else "nan",
+                _fmt(row.theta_end),
                 str(row.crossing_count if row.crossing_count >= 0 else -1),
                 str(row.end_flag).lower(),
                 row.status,
@@ -314,6 +310,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
         "disagreements": [
             {"lambda": r.lam, "detail": r.reason} for r in table.rows if r.status == "disagree"
         ],
+        "errors": [
+            {"lambda": r.lam, "reason": r.reason} for r in table.rows if r.status == "error"
+        ],
         "sign_convention": "u-eigenphase increasing through pi counts +1",
     }
     json_path = os.path.splitext(out_path)[0] + ".json"
@@ -323,10 +322,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
     n_detected = len(table.detected_eigenvalues)
     print(f"sweep written to {out_path} and {json_path}: {n_detected} eigenvalue "
           f"bracket(s), {sum(1 for r in table.rows if r.status == 'skipped')} skipped row(s)")
+    n_errors = len(summary["errors"])
+    if n_errors:
+        print(f"{n_errors} row(s) failed numerically; reasons in {json_path}", file=sys.stderr)
     if table.has_disagreement():
         print("backend disagreement detected", file=sys.stderr)
-        return EXIT_DISAGREE
-    return EXIT_OK
+    return EXIT_NUMERICAL if n_errors or table.has_disagreement() else EXIT_OK
 
 
 def cmd_refine(cfg: RunConfig) -> int:
@@ -434,7 +435,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_MODEL
     except MaslovError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_DISAGREE
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -19,11 +19,6 @@ class ChartDomainError(MaslovError):
     cell, or on the train)."""
 
 
-class NormalizationError(MaslovError):
-    """Reference plane cannot be carried to the standard one (singular p0);
-    pre-rotate with the symplectic J and retry."""
-
-
 class StepSizeError(MaslovError):
     """Grid step too large for unambiguous phase tracking / theta unwinding."""
 

@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ChartDomainError, ConfigError, HyperbolicityError, MaslovError, StepSizeError, StructureError
 from .models import ModelSpec, get_model
 from .riccati import ChartPath, SymmetricChart, integrate_chart
-from .system import CoefficientField, chart_from_frame, farfield_frame
+from .system import CoefficientField, LagrangianFrame, chart_from_frame, farfield_frame
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 from .unitary import (
     ThetaTrace,
@@ -104,6 +103,9 @@ def _track_phases(phases: np.ndarray, reject: float) -> np.ndarray:
     Returns an (nsamp, n) array of unwrapped phases; column i follows one
     eigenphase branch across samples.
     """
+    # imported here: scipy.optimize costs most of the package's import time
+    from scipy.optimize import linear_sum_assignment
+
     nsamp, n = phases.shape
     unwrapped = np.empty_like(phases)
     unwrapped[0] = phases[0]
@@ -172,7 +174,6 @@ def _phases_ambiguous(phases: np.ndarray, step: int, resolution: float) -> bool:
 def detect_crossings(
     u_path: np.ndarray | UnitaryPath,
     grid: np.ndarray | None = None,
-    resolution: float = DEFAULT_TOLERANCES.chart_tol,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> list[CrossingRecord]:
     """Detect passages of spec(u) through -1 along a unitary path.
@@ -181,7 +182,8 @@ def detect_crossings(
     threshold ``tol.phase_match_reject``); a crossing is recorded when a
     tracked phase passes pi, with multiplicity the number of phases crossing
     in the same step and direction the sign of the phase velocity.  Crossings
-    whose phases sit closer than ``resolution`` get direction 0 and a warning.
+    whose phases sit closer than ``tol.chart_tol`` get direction 0 and a
+    warning.
     """
     if isinstance(u_path, UnitaryPath):
         us = u_path.us
@@ -199,12 +201,11 @@ def detect_crossings(
             f"consecutive u samples differ by {float(np.max(jumps)):.3f} >= 0.5; refine the grid")
     phases = np.angle(np.linalg.eigvals(us))
     phases = np.sort(phases, axis=1)
-    return _detect_from_phases(phases, grid, resolution, tol)
+    return _detect_from_phases(phases, grid, tol)
 
 
 def crossings_from_chart(
     path: ChartPath,
-    resolution: float = DEFAULT_TOLERANCES.chart_tol,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> list[CrossingRecord]:
     """Crossings along a chart path: eigenvalues of s through infinity.
@@ -214,13 +215,12 @@ def crossings_from_chart(
     through pi, so chart and unitary routes count identically.
     """
     phases = np.sort(-2.0 * np.arctan(path.eigen_trace.mu), axis=1)
-    return _detect_from_phases(phases, path.grid, resolution, tol)
+    return _detect_from_phases(phases, path.grid, tol)
 
 
 def _detect_from_phases(
     phases: np.ndarray,
     grid: np.ndarray,
-    resolution: float,
     tol: Tolerances,
 ) -> list[CrossingRecord]:
     unwrapped = _track_phases(phases, tol.phase_match_reject)
@@ -229,7 +229,7 @@ def _detect_from_phases(
     for rec in records:
         step = int(np.searchsorted(grid, rec.x, side="right") - 1)
         step = min(max(step, 0), phases.shape[0] - 2)
-        if rec.direction != 0 and rec.multiplicity > 1 and _phases_ambiguous(phases, step, resolution):
+        if rec.direction != 0 and rec.multiplicity > 1 and _phases_ambiguous(phases, step, tol.chart_tol):
             warnings.warn(
                 f"crossing near x={rec.x:.4f} involves phases closer than the resolution; "
                 "direction recorded as 0", stacklevel=2)
@@ -284,7 +284,12 @@ def _end_of_interval_flag(
 
 @dataclass(frozen=True)
 class TraceResult:
-    """Everything a single-lambda run produces."""
+    """Everything a single-lambda run produces.
+
+    ``count_chart`` and ``count_unitary`` are the crossing counts of each
+    route, -1 for a route that did not run; ``result`` holds the unitary
+    route's crossings when it ran, else the chart route's.
+    """
 
     lam: float
     grid: np.ndarray
@@ -296,17 +301,82 @@ class TraceResult:
     result: MaslovResult
     end_flag: bool
     end_dimension: int
+    count_chart: int = -1
+    count_unitary: int = -1
 
 
-def _initial_frame(field: CoefficientField, lam: float, tol: Tolerances):
-    a_minus = field.farfield_minus(lam)
-    return farfield_frame(a_minus, "unstable", tol)
+def _far_field_ends(
+    field: CoefficientField,
+    lam: float,
+    init: str,
+    tol: Tolerances,
+) -> tuple[LagrangianFrame | None, str, np.ndarray | None]:
+    """The far-field data a row starts and ends with: the start frame (None
+    for the identity plane u0 = I), the start used, and the unitary
+    representative of the right far field's stable plane (None if undefined).
+
+    "farfield" needs both far fields hyperbolic and raises otherwise; "auto"
+    falls back to the identity plane and to no end reference; "identity"
+    starts from the identity plane.
+    """
+    frame0 = u_ref = None
+    init_mode = "identity"
+    if init != "identity":
+        try:
+            frame0 = farfield_frame(field.farfield_minus(lam), "unstable", tol)
+            init_mode = "farfield"
+        except (HyperbolicityError, StructureError):
+            if init == "farfield":
+                raise
+    try:
+        u_ref = unitary_from_frame(farfield_frame(field.farfield_plus(lam), "stable", tol)).mat
+    except (HyperbolicityError, StructureError) as exc:
+        if init == "farfield":
+            raise type(exc)(f"right far field: {exc}") from exc
+    return frame0, init_mode, u_ref
 
 
-def _reference_unitary(field: CoefficientField, lam: float, tol: Tolerances) -> np.ndarray:
-    a_plus = field.farfield_plus(lam)
-    ref = farfield_frame(a_plus, "stable", tol)
-    return unitary_from_frame(ref).mat
+def _run_row(
+    field: CoefficientField,
+    lam: float,
+    grid: np.ndarray,
+    backend: str,
+    ends: tuple[LagrangianFrame | None, str, np.ndarray | None],
+    tol: Tolerances,
+) -> TraceResult:
+    """The per-lambda core behind traces, sweep rows and refine probes.
+
+    From the ``_far_field_ends`` data it integrates the requested route(s),
+    detects crossings on each, and sets the end-of-interval flag.  Counts of
+    both routes are returned, not compared.
+    """
+    frame0, init_mode, u_ref = ends
+    n = field.n
+    chart_path: ChartPath | None = None
+    u_path: UnitaryPath | None = None
+    count_chart = count_unitary = -1
+    if backend != "unitary":
+        s0 = SymmetricChart(np.zeros((n, n))) if frame0 is None else chart_from_frame(frame0, tol)
+        chart_path = integrate_chart(field, lam, grid, s0, tol)
+        crossings = crossings_from_chart(chart_path, tol)
+        count_chart = sum(c.multiplicity for c in crossings)
+    if backend != "chart":
+        u0 = UnitarySymmetric(np.eye(n, dtype=complex)) if frame0 is None else unitary_from_frame(frame0)
+        u_path = integrate_unitary(field, lam, grid, u0, tol=tol)
+        crossings = detect_crossings(u_path, tol=tol)
+        count_unitary = sum(c.multiplicity for c in crossings)
+        theta = u_path.theta_trace
+        u_end = u_path.us[-1]
+    else:
+        theta = theta_from_chart(chart_path)
+        u_end = cayley(chart_path.chart(-1), tol).mat
+
+    end_flag, end_dim = _end_of_interval_flag(crossings, grid, u_end, u_ref, tol)
+    return TraceResult(lam=lam, grid=grid, backend=backend, init_mode=init_mode,
+                       theta=theta, unitary_path=u_path, chart_path=chart_path,
+                       result=maslov_index(crossings, theta_trace=theta),
+                       end_flag=end_flag, end_dimension=end_dim,
+                       count_chart=count_chart, count_unitary=count_unitary)
 
 
 def run_trace(
@@ -316,76 +386,27 @@ def run_trace(
     backend: str = "unitary",
     init: str = "auto",
     tol: Tolerances = DEFAULT_TOLERANCES,
-    reproject: bool = True,
 ) -> TraceResult:
     """Integrate one lambda with the requested backend(s) and detect
     crossings against the standard reference plane.
 
     ``init``: "farfield" starts from the unstable subspace of the left far
-    field (fails for non-hyperbolic far fields); "identity" starts from the
-    horizontal plane u0 = I; "auto" tries the far field and falls back to
-    the identity plane, recording the fallback in ``init_mode``.
+    field and fails unless both far fields are hyperbolic; "identity" starts
+    from the horizontal plane u0 = I; "auto" tries the far field and falls
+    back to the identity plane, recording the fallback in ``init_mode``.
+    With ``backend="both"`` a chart/unitary count mismatch raises.
     """
     if backend not in BACKENDS:
         raise ConfigError(f"backend must be one of {BACKENDS}, got {backend!r}")
     if init not in ("auto", "farfield", "identity"):
         raise ConfigError(f"init must be auto|farfield|identity, got {init!r}")
     grid = np.asarray(grid, dtype=float)
-    n = field.n
-
-    init_mode = init
-    frame0 = None
-    if init in ("auto", "farfield"):
-        try:
-            frame0 = _initial_frame(field, lam, tol)
-            init_mode = "farfield"
-        except (HyperbolicityError, StructureError):
-            if init == "farfield":
-                raise
-            init_mode = "identity"
-    if frame0 is not None:
-        u0 = unitary_from_frame(frame0)
-        s0 = chart_from_frame(frame0, tol) if backend in ("chart", "both") else None
-    else:
-        u0 = UnitarySymmetric(np.eye(n, dtype=complex))
-        s0 = SymmetricChart(np.zeros((n, n)))
-
-    chart_path: ChartPath | None = None
-    u_path: UnitaryPath | None = None
-    if backend in ("chart", "both"):
-        chart_path = integrate_chart(field, lam, grid, s0, tol)
-    if backend in ("unitary", "both"):
-        u_path = integrate_unitary(field, lam, grid, u0, tol=tol, reproject=reproject)
-
-    if u_path is not None:
-        crossings = detect_crossings(u_path, resolution=tol.chart_tol, tol=tol)
-        theta = u_path.theta_trace
-        u_end = u_path.us[-1]
-    else:
-        assert chart_path is not None
-        crossings = crossings_from_chart(chart_path, resolution=tol.chart_tol, tol=tol)
-        theta = theta_from_chart(chart_path)
-        u_end = cayley(chart_path.chart(-1), tol).mat
-
-    if backend == "both":
-        assert chart_path is not None
-        chart_crossings = crossings_from_chart(chart_path, resolution=tol.chart_tol, tol=tol)
-        n_chart = sum(c.multiplicity for c in chart_crossings)
-        n_unitary = sum(c.multiplicity for c in crossings)
-        if n_chart != n_unitary:
-            raise MaslovError(
-                f"backend disagreement at lambda={lam}: chart counts {n_chart}, "
-                f"unitary counts {n_unitary}")
-
-    try:
-        u_ref = _reference_unitary(field, lam, tol)
-    except (HyperbolicityError, StructureError):
-        u_ref = None
-    end_flag, end_dim = _end_of_interval_flag(crossings, grid, u_end, u_ref, tol)
-    result = maslov_index(crossings, theta_trace=theta)
-    return TraceResult(lam=lam, grid=grid, backend=backend, init_mode=init_mode,
-                       theta=theta, unitary_path=u_path, chart_path=chart_path,
-                       result=result, end_flag=end_flag, end_dimension=end_dim)
+    trace = _run_row(field, lam, grid, backend, _far_field_ends(field, lam, init, tol), tol)
+    if backend == "both" and trace.count_chart != trace.count_unitary:
+        raise MaslovError(
+            f"backend disagreement at lambda={lam}: chart counts {trace.count_chart}, "
+            f"unitary counts {trace.count_unitary}")
+    return trace
 
 
 @dataclass(frozen=True)
@@ -393,7 +414,7 @@ class SweepRow:
     """One lambda row of a sweep."""
 
     lam: float
-    status: str  # "ok" | "skipped" | "disagree"
+    status: str  # "ok" | "skipped" | "disagree" | "error"
     reason: str
     theta_end: float
     crossing_count: int
@@ -407,8 +428,8 @@ class SweepTable:
     """Sweep results over a strictly increasing lambda grid.
 
     ``detected_eigenvalues`` lists the (lambda_lo, lambda_hi] intervals
-    between consecutive non-skipped rows where the unsigned crossing count
-    increments, with the jump size.
+    between consecutive rows that are neither skipped nor in error where the
+    unsigned crossing count increments, with the jump size.
     """
 
     lambdas: np.ndarray
@@ -420,68 +441,52 @@ class SweepTable:
         if np.any(np.diff(self.lambdas) <= 0):
             raise ConfigError("lambda grid must be strictly increasing")
 
-    @property
-    def theta_end(self) -> np.ndarray:
-        return np.array([r.theta_end for r in self.rows])
-
-    @property
-    def crossing_counts(self) -> np.ndarray:
-        return np.array([r.crossing_count for r in self.rows])
-
     def has_disagreement(self) -> bool:
         return any(r.status == "disagree" for r in self.rows)
 
 
-def _sweep_row(args: tuple) -> SweepRow:
-    spec_dict, lam, grid_spec, backend, tol = args
-    spec = ModelSpec(**spec_dict)
-    field = get_model(spec)
-    grid = np.linspace(*grid_spec)
-    try:
-        frame0 = _initial_frame(field, lam, tol)
-    except (HyperbolicityError, StructureError) as exc:
-        return SweepRow(lam=lam, status="skipped", reason=str(exc),
-                        theta_end=float("nan"), crossing_count=-1, end_flag=False)
-    try:
-        u_ref = _reference_unitary(field, lam, tol)
-    except (HyperbolicityError, StructureError) as exc:
-        return SweepRow(lam=lam, status="skipped", reason=f"right far field: {exc}",
-                        theta_end=float("nan"), crossing_count=-1, end_flag=False)
+def _failed_row(lam: float, status: str, reason: str) -> SweepRow:
+    return SweepRow(lam=lam, status=status, reason=reason, theta_end=float("nan"),
+                    crossing_count=-1, end_flag=False)
 
-    count_chart = -1
-    count_unitary = -1
-    theta_end = float("nan")
-    u_end = None
-    crossings: list[CrossingRecord] = []
-    if backend in ("chart", "both"):
+
+def _sweep_row(field: CoefficientField, lam: float, grid: np.ndarray, backend: str,
+               tol: Tolerances) -> SweepRow:
+    """One sweep row or refine probe: the core from both far fields.
+
+    A lambda outside the method's domain (a far field not hyperbolic, or a
+    start plane off the chart) gives a skipped row; numerical failures of
+    the integration or detection propagate.
+    """
+    try:
+        ends = _far_field_ends(field, lam, "farfield", tol)
+    except (HyperbolicityError, StructureError) as exc:
+        return _failed_row(lam, "skipped", str(exc))
+    try:
+        trace = _run_row(field, lam, grid, backend, ends, tol)
+    except ChartDomainError as exc:
+        return _failed_row(lam, "skipped", str(exc))
+    status, reason = "ok", ""
+    if backend == "both" and trace.count_chart != trace.count_unitary:
+        status, reason = "disagree", f"chart={trace.count_chart} unitary={trace.count_unitary}"
+    return SweepRow(lam=lam, status=status, reason=reason,
+                    theta_end=float(trace.theta.theta[-1]),
+                    crossing_count=trace.result.unsigned_count, end_flag=trace.end_flag,
+                    count_chart=trace.count_chart, count_unitary=trace.count_unitary)
+
+
+def _sweep_chunk(job: tuple) -> list[SweepRow]:
+    """Rows for a chunk of lambdas on one field; a row whose integration or
+    detection fails numerically gets status "error" and the reason."""
+    spec, lambdas, grid, backend, tol = job
+    field = get_model(spec, tol)
+    rows = []
+    for lam in lambdas:
         try:
-            s0 = chart_from_frame(frame0, tol)
-        except ChartDomainError as exc:
-            return SweepRow(lam=lam, status="skipped", reason=str(exc),
-                            theta_end=float("nan"), crossing_count=-1, end_flag=False)
-        path = integrate_chart(field, lam, grid, s0, tol)
-        crossings = crossings_from_chart(path, tol.chart_tol, tol)
-        count_chart = sum(c.multiplicity for c in crossings)
-        theta_end = float(theta_from_chart(path).theta[-1])
-        u_end = cayley(path.chart(-1), tol).mat
-    if backend in ("unitary", "both"):
-        u0 = unitary_from_frame(frame0)
-        upath = integrate_unitary(field, lam, grid, u0, tol=tol)
-        crossings = detect_crossings(upath, resolution=tol.chart_tol, tol=tol)
-        count_unitary = sum(c.multiplicity for c in crossings)
-        theta_end = float(upath.theta_trace.theta[-1])
-        u_end = upath.us[-1]
-
-    count = count_unitary if count_unitary >= 0 else count_chart
-    status = "ok"
-    reason = ""
-    if backend == "both" and count_chart != count_unitary:
-        status = "disagree"
-        reason = f"chart={count_chart} unitary={count_unitary}"
-    end_flag, _ = _end_of_interval_flag(crossings, grid, u_end, u_ref, tol)
-    return SweepRow(lam=lam, status=status, reason=reason, theta_end=theta_end,
-                    crossing_count=count, end_flag=end_flag,
-                    count_chart=count_chart, count_unitary=count_unitary)
+            rows.append(_sweep_row(field, float(lam), grid, backend, tol))
+        except (StepSizeError, StructureError) as exc:
+            rows.append(_failed_row(float(lam), "error", str(exc)))
+    return rows
 
 
 def sweep_lambda(
@@ -494,9 +499,11 @@ def sweep_lambda(
 ) -> SweepTable:
     """Integrate every lambda row and locate eigenvalues by count jumps.
 
-    Rows whose far fields are not hyperbolic are skipped and flagged, never
-    silently used.  Rows are independent; with ``workers > 1`` they run in a
-    process pool and are reassembled in grid order, so the result does not
+    Rows whose far fields are not hyperbolic are skipped and rows that fail
+    numerically are marked "error"; both are flagged, never silently used.
+    Rows are independent; the grid is cut into chunks that each build the
+    field once (one chunk when serial, a few per worker in a process pool),
+    and the rows are reassembled in grid order, so the result does not
     depend on scheduling.
     """
     if backend not in BACKENDS:
@@ -508,19 +515,21 @@ def sweep_lambda(
     if np.any(np.diff(lambda_grid) <= 0):
         raise ConfigError("lambda grid must be strictly increasing")
     x_grid = np.asarray(x_grid, dtype=float)
-    grid_spec = (float(x_grid[0]), float(x_grid[-1]), int(x_grid.size))
 
-    jobs = [(spec.as_dict(), float(lam), grid_spec, backend, tol) for lam in lambda_grid]
+    n_chunks = min(lambda_grid.size, 4 * workers) if workers > 1 else 1
+    jobs = [(spec, chunk, x_grid, backend, tol)
+            for chunk in np.array_split(lambda_grid, n_chunks)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_row, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
+            parts = list(pool.map(_sweep_chunk, jobs))
     else:
-        rows = [_sweep_row(job) for job in jobs]
+        parts = [_sweep_chunk(job) for job in jobs]
+    rows = [row for part in parts for row in part]
 
     detected: list[tuple[float, float, int]] = []
     prev: SweepRow | None = None
     for row in rows:
-        if row.status == "skipped":
+        if row.status in ("skipped", "error"):
             continue
         if prev is not None and row.crossing_count > prev.crossing_count:
             detected.append((prev.lam, row.lam, row.crossing_count - prev.crossing_count))
@@ -552,16 +561,17 @@ def refine_eigenvalue(
     """Bisect a lambda bracket on the crossing-count jump.
 
     Requires the unsigned counts at the bracket ends to differ; returns the
-    bracket midpoint once the bracket is shorter than ``tol_lambda``.
+    bracket midpoint once the bracket is shorter than ``tol_lambda``.  The
+    field is built once; a probe that is skipped or fails raises.
     """
     spec = ModelSpec.parse(model) if isinstance(model, str) else model
     if not lam_lo < lam_hi:
         raise ConfigError("need lam_lo < lam_hi")
+    field = get_model(spec, tol)
     x_grid = np.asarray(x_grid, dtype=float)
-    grid_spec = (float(x_grid[0]), float(x_grid[-1]), int(x_grid.size))
 
     def count_at(lam: float) -> int:
-        row = _sweep_row((spec.as_dict(), lam, grid_spec, backend, tol))
+        row = _sweep_row(field, lam, x_grid, backend, tol)
         if row.status == "skipped":
             raise HyperbolicityError(f"lambda={lam}: {row.reason}")
         return int(row.crossing_count)

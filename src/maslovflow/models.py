@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ModelError
-from .system import CoefficientField, SymplecticCoefficients, validate_coefficients
+from .system import CoefficientField, SymplecticCoefficients
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 __all__ = [
@@ -69,17 +69,9 @@ def kdv7_wave(x: np.ndarray | float, params: Kdv7Params = Kdv7Params()):
     return params.amp * (s ** 6 + s ** 4)
 
 
-def kdv7_coefficients(
-    x: float,
-    lam: float,
-    params: Kdv7Params = Kdv7Params(),
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> SymplecticCoefficients:
-    """Coefficient matrix of the first-order system at (x, lambda), n = 3.
-
-    Only the (4,1) entry, -lambda + c_wave - U(x), depends on x or lambda.
-    """
-    u = float(kdv7_wave(x, params))
+def _kdv7_blocks(lam: float, u: float, params: Kdv7Params) -> SymplecticCoefficients:
+    """Exact sp(R^6) blocks with wave value ``u``: a = 0, d = -a^T, and b, c
+    exactly symmetric."""
     a = np.zeros((3, 3))
     b = np.array([[0.0, -1.0, 0.0],
                   [-1.0, -1.0, 0.0],
@@ -87,15 +79,25 @@ def kdv7_coefficients(
     c = np.array([[-lam + params.c_wave - u, 0.0, 0.0],
                   [0.0, 0.0, -1.0],
                   [0.0, -1.0, 1.0]])
-    d = np.zeros((3, 3))
-    return validate_coefficients(a, b, c, d, tol)
+    return SymplecticCoefficients(n=3, a=a, b=b, c=c, d=-a.T)
+
+
+def kdv7_coefficients(
+    x: float,
+    lam: float,
+    params: Kdv7Params = Kdv7Params(),
+) -> SymplecticCoefficients:
+    """Coefficient matrix of the first-order system at (x, lambda), n = 3.
+
+    Only the (4,1) entry, -lambda + c_wave - U(x), depends on x or lambda.
+    """
+    return _kdv7_blocks(lam, float(kdv7_wave(x, params)), params)
 
 
 def kdv7_field(
     x_minus: float = -20.0,
     x_plus: float = 20.0,
     params: Kdv7Params = Kdv7Params(),
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> CoefficientField:
     """The kdv7 coefficient field on [x_minus, x_plus].
 
@@ -105,18 +107,10 @@ def kdv7_field(
     tail = float(max(kdv7_wave(x_minus, params), kdv7_wave(x_plus, params)))
 
     def evaluate(x: float, lam: float) -> SymplecticCoefficients:
-        return kdv7_coefficients(x, lam, params, tol)
+        return kdv7_coefficients(x, lam, params)
 
     def limit(lam: float) -> SymplecticCoefficients:
-        u0 = float(kdv7_wave(np.inf, params))
-        a = np.zeros((3, 3))
-        b = np.array([[0.0, -1.0, 0.0],
-                      [-1.0, -1.0, 0.0],
-                      [0.0, 0.0, 1.0 / params.sigma7]])
-        c = np.array([[-lam + params.c_wave - u0, 0.0, 0.0],
-                      [0.0, 0.0, -1.0],
-                      [0.0, -1.0, 1.0]])
-        return validate_coefficients(a, b, c, np.zeros((3, 3)), tol)
+        return _kdv7_blocks(lam, float(kdv7_wave(np.inf, params)), params)
 
     return CoefficientField(n=3, evaluate=evaluate, x_minus=x_minus, x_plus=x_plus,
                             farfield_minus=limit, farfield_plus=limit,
@@ -141,22 +135,20 @@ def sturm_liouville_field(
     x_plus: float = 20.0,
     farfield_tol: float = 1e-8,
     name: str = "sturm_liouville",
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> CoefficientField:
     """First-order reduction q = u, p = u': a = 0, b = 1, c = V - lambda, d = 0."""
     pot = params.potential
 
+    def blocks(c: float) -> SymplecticCoefficients:
+        a = np.zeros((1, 1))
+        return SymplecticCoefficients(n=1, a=a, b=np.ones((1, 1)), c=np.array([[c]]), d=-a.T)
+
     def evaluate(x: float, lam: float) -> SymplecticCoefficients:
-        return validate_coefficients(np.zeros((1, 1)), np.ones((1, 1)),
-                                     np.array([[pot(x) - lam]]), np.zeros((1, 1)), tol)
+        return blocks(pot(x) - lam)
 
     def limit_at(x_end: float):
         v_inf = pot(x_end)
-
-        def limit(lam: float) -> SymplecticCoefficients:
-            return validate_coefficients(np.zeros((1, 1)), np.ones((1, 1)),
-                                         np.array([[v_inf - lam]]), np.zeros((1, 1)), tol)
-        return limit
+        return lambda lam: blocks(v_inf - lam)
 
     return CoefficientField(n=1, evaluate=evaluate, x_minus=x_minus, x_plus=x_plus,
                             farfield_minus=limit_at(x_minus), farfield_plus=limit_at(x_plus),
@@ -172,7 +164,6 @@ def poschl_teller_field(
     m: int,
     x_minus: float = -20.0,
     x_plus: float = 20.0,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> CoefficientField:
     """Poeschl-Teller oracle model with m bound states; hyperbolic iff lambda < 0."""
     if m not in (1, 2, 3):
@@ -188,7 +179,7 @@ def poschl_teller_field(
     tail = abs(potential(max(abs(x_minus), abs(x_plus))))
     return sturm_liouville_field(params, x_minus, x_plus,
                                  farfield_tol=2.0 * tail + 1e-12,
-                                 name=f"poschl_teller:{m}", tol=tol)
+                                 name=f"poschl_teller:{m}")
 
 
 @dataclass(frozen=True)
@@ -229,7 +220,12 @@ MODEL_NAMES = ("kdv7", "poschl_teller")
 
 
 def get_model(spec: ModelSpec | str, tol: Tolerances = DEFAULT_TOLERANCES) -> CoefficientField:
-    """Build the coefficient field a ModelSpec or name refers to."""
+    """Build the coefficient field a ModelSpec or name refers to.
+
+    The bundled fields are exact by construction and checked once when the
+    field is built, so ``tol`` changes nothing here; it is accepted so that
+    callers can hand every layer the run's tolerances alike.
+    """
     if isinstance(spec, str):
         spec = ModelSpec.parse(spec)
     kwargs = dict(spec.params)
@@ -238,10 +234,10 @@ def get_model(spec: ModelSpec | str, tol: Tolerances = DEFAULT_TOLERANCES) -> Co
     if spec.name == "kdv7":
         if kwargs:
             raise ModelError(f"kdv7 got unexpected params {sorted(kwargs)}")
-        return kdv7_field(x_minus, x_plus, tol=tol)
+        return kdv7_field(x_minus, x_plus)
     if spec.name == "poschl_teller":
         m = int(kwargs.pop("m", 2))
         if kwargs:
             raise ModelError(f"poschl_teller got unexpected params {sorted(kwargs)}")
-        return poschl_teller_field(m, x_minus, x_plus, tol=tol)
+        return poschl_teller_field(m, x_minus, x_plus)
     raise ModelError(f"unknown model {spec.name!r}; choose from {sorted(MODEL_NAMES)}")

@@ -9,11 +9,11 @@ eigenvalue of s escapes to infinity) without special-casing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChartDomainError, StructureError
+from .errors import StructureError
 from .matrixkit import mat_exp, symmetrize
 from .system import CoefficientField, SymplecticCoefficients
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -23,7 +23,6 @@ __all__ = [
     "EigenTrace",
     "ChartPath",
     "riccati_rhs",
-    "mobius_step",
     "integrate_chart",
     "singular_eigenvalue_count",
     "singular_threshold",
@@ -102,16 +101,6 @@ def riccati_rhs(
     return symmetrize(rhs)
 
 
-def _check_symplectic(phi: np.ndarray, n: int, tol: Tolerances) -> None:
-    j_top = np.hstack([np.zeros((n, n)), np.eye(n)])
-    j_bot = np.hstack([-np.eye(n), np.zeros((n, n))])
-    j = np.vstack([j_top, j_bot])
-    defect = float(np.max(np.abs(phi.T @ j @ phi - j)))
-    scale = max(1.0, float(np.max(np.abs(phi))) ** 2)
-    if defect > tol.symplectic_check * scale:
-        raise StructureError(f"propagator not symplectic: defect {defect:.3e}")
-
-
 def _mobius_apply(s: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, float, float]:
     """Apply the Moebius action; returns (new s, effective denominator
     condition, pre-symmetrization defect).
@@ -132,29 +121,6 @@ def _mobius_apply(s: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, float, fl
     s_new = np.linalg.solve(den.T, num.T).T
     defect = float(np.max(np.abs(s_new - s_new.T)))
     return symmetrize(s_new), cond, defect
-
-
-def mobius_step(
-    s: SymmetricChart,
-    phi: np.ndarray,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> SymmetricChart:
-    """Moebius action s -> (phi21 + phi22 s)(phi11 + phi12 s)^{-1}.
-
-    ``phi`` must be symplectic (checked).  The step is defined through chart
-    singularities; an exactly singular denominator (measure zero) raises
-    ``ChartDomainError`` and is handled by substepping in integrate_chart.
-    """
-    phi = np.asarray(phi, dtype=float)
-    n = s.n
-    if phi.shape != (2 * n, 2 * n):
-        raise StructureError(f"propagator shape {phi.shape}, expected {(2 * n, 2 * n)}")
-    _check_symplectic(phi, n, tol)
-    try:
-        s_new, _, _ = _mobius_apply(s.mat, phi)
-    except np.linalg.LinAlgError as exc:
-        raise ChartDomainError(f"Moebius step hit an exactly singular sample: {exc}") from exc
-    return SymmetricChart(s_new)
 
 
 def singular_threshold(chart_tol: float) -> float:

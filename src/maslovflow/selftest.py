@@ -12,11 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maslov import crossings_from_chart, run_trace
+from .maslov import run_trace
 from .matrixkit import det_phase, sym_arctan, symmetrize
 from .models import get_model
 from .riccati import singular_eigenvalue_count
-from .system import LagrangianFrame, chart_from_frame, total_frame_rank_loss
+from .system import LagrangianFrame, chart_from_frame, farfield_frame, total_frame_rank_loss
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 from .unitary import cayley, integrate_unitary, unitary_from_frame
 
@@ -91,8 +91,6 @@ def _wrap(angle: float) -> float:
 def _check_unitarity_drift(tol: Tolerances, bound: float) -> PropertyReport:
     field = get_model("kdv7")
     grid = np.linspace(field.x_minus, field.x_plus, 10_001)
-    from .system import farfield_frame
-
     frame = farfield_frame(field.farfield_minus(0.15), "unstable", tol)
     path = integrate_unitary(field, 0.15, grid, unitary_from_frame(frame),
                              tol=tol, reproject=False)
@@ -127,10 +125,7 @@ def _check_backend_agreement(tol: Tolerances, bound: float) -> PropertyReport:
         grid = np.linspace(field.x_minus, field.x_plus, 2001)
         for lam in lams:
             trace = run_trace(field, lam, grid, backend="both", tol=tol)
-            n_unitary = trace.result.unsigned_count
-            n_chart = sum(c.multiplicity
-                          for c in crossings_from_chart(trace.chart_path, tol.chart_tol, tol))
-            worst = max(worst, abs(n_unitary - n_chart))
+            worst = max(worst, abs(trace.count_unitary - trace.count_chart))
     return PropertyReport("backend_agreement", worst == 0, float(worst), bound,
                           "chart vs unitary crossing counts on both bundled models")
 
@@ -153,8 +148,6 @@ def _check_route_agreement(tol: Tolerances, bound: float) -> PropertyReport:
     for name, lam in (("poschl_teller:2", -2.0), ("kdv7", 0.15)):
         field = get_model(name)
         grid = np.linspace(field.x_minus, field.x_plus, 4001)
-        from .system import farfield_frame
-
         frame = farfield_frame(field.farfield_minus(lam), "unstable", tol)
         path = integrate_unitary(field, lam, grid, unitary_from_frame(frame), tol=tol)
         base, keep = theta_via_trace_formula(path.us)

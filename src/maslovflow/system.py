@@ -2,9 +2,8 @@
 
 A first-order system d/dx (q, p)^T = A(x, lambda) (q, p)^T with
 A = [[a, b], [c, d]] lies in sp(R^2n) when b and c are symmetric and
-a = -d^T.  This module validates that structure, builds initial frames from
-far-field invariant subspaces, and carries arbitrary reference planes to the
-standard one (q0, p0) = (0, I).
+a = -d^T.  This module validates that structure where a coefficient field
+enters, and builds initial frames from far-field invariant subspaces.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from typing import Callable, TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ChartDomainError, HyperbolicityError, NormalizationError, StructureError
+from .errors import ChartDomainError, HyperbolicityError, StructureError
 from .matrixkit import symmetrize
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -25,9 +24,7 @@ __all__ = [
     "SymplecticCoefficients",
     "CoefficientField",
     "LagrangianFrame",
-    "ReferencePlane",
     "validate_coefficients",
-    "normalize_reference",
     "total_frame_rank_loss",
     "farfield_frame",
     "chart_from_frame",
@@ -36,10 +33,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SymplecticCoefficients:
-    """Validated blocks of A = [[a, b], [c, d]] in sp(R^2n).
+    """Blocks of A = [[a, b], [c, d]] in sp(R^2n).
 
-    Construct through :func:`validate_coefficients`; the stored blocks satisfy
-    b = b^T and c = c^T exactly and d = -a^T exactly.
+    The stored blocks satisfy b = b^T and c = c^T exactly and d = -a^T
+    exactly: build them with :func:`validate_coefficients`, or directly from
+    exactly symmetric b, c and d = -a.T as the bundled models do.
     """
 
     n: int
@@ -102,6 +100,24 @@ class CoefficientField:
     farfield_tol: float = DEFAULT_TOLERANCES.farfield_default
     name: str = ""
 
+    def __post_init__(self) -> None:
+        """Check the structure once, where the field enters: ``evaluate`` at
+        five points across the window and both far-field limits, at
+        lambda = 0, must give sp(R^2n) blocks of size n, and the window ends
+        must agree with the limits within ``farfield_tol``."""
+        if not self.x_minus < self.x_plus:
+            raise StructureError(f"need x_minus < x_plus, got [{self.x_minus}, {self.x_plus}]")
+        samples = [self.evaluate(float(x), 0.0) for x in np.linspace(self.x_minus, self.x_plus, 5)]
+        samples += [self.farfield_minus(0.0), self.farfield_plus(0.0)]
+        for coeffs in samples:
+            if validate_coefficients(coeffs.a, coeffs.b, coeffs.c, coeffs.d).n != self.n:
+                raise StructureError(f"field {self.name!r} gives blocks of size {coeffs.a.shape}, "
+                                     f"declared n = {self.n}")
+        defect = self.farfield_defect(0.0)
+        if defect > self.farfield_tol:
+            raise StructureError(f"field {self.name!r}: window ends differ from the far-field "
+                                 f"limits by {defect:.3e} > {self.farfield_tol:.3e}")
+
     def farfield_defect(self, lam: float) -> float:
         """Largest entrywise gap between the truncated ends and the limits."""
         d_minus = np.max(np.abs(self.evaluate(self.x_minus, lam).full()
@@ -109,21 +125,6 @@ class CoefficientField:
         d_plus = np.max(np.abs(self.evaluate(self.x_plus, lam).full()
                                - self.farfield_plus(lam).full()))
         return float(max(d_minus, d_plus))
-
-
-def _check_frame(q: np.ndarray, p: np.ndarray, tol: Tolerances, what: str) -> None:
-    n = q.shape[0]
-    if q.shape != (n, n) or p.shape != (n, n):
-        raise StructureError(f"{what}: q and p must be square of equal size")
-    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
-        raise StructureError(f"{what}: non-finite entries")
-    scale = max(1.0, float(np.max(np.abs(q))) * float(np.max(np.abs(p))))
-    defect = float(np.max(np.abs(q.T @ p - p.T @ q)))
-    if defect > tol.frame_lagrangian * scale:
-        raise StructureError(f"{what}: Lagrangian condition fails, defect {defect:.3e}")
-    sv = np.linalg.svd(np.vstack([q, p]), compute_uv=False)
-    if sv[-1] <= tol.frame_rank * sv[0]:
-        raise StructureError(f"{what}: stacked frame rank-deficient (sv ratio {sv[-1]/sv[0]:.3e})")
 
 
 @dataclass(frozen=True)
@@ -141,7 +142,20 @@ class LagrangianFrame:
     def __post_init__(self) -> None:
         object.__setattr__(self, "q", np.asarray(self.q, dtype=float))
         object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
-        _check_frame(self.q, self.p, self._tol, "LagrangianFrame")
+        q, p, tol = self.q, self.p, self._tol
+        n = q.shape[0]
+        if q.shape != (n, n) or p.shape != (n, n):
+            raise StructureError("LagrangianFrame: q and p must be square of equal size")
+        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
+            raise StructureError("LagrangianFrame: non-finite entries")
+        scale = max(1.0, float(np.max(np.abs(q))) * float(np.max(np.abs(p))))
+        defect = float(np.max(np.abs(q.T @ p - p.T @ q)))
+        if defect > tol.frame_lagrangian * scale:
+            raise StructureError(f"LagrangianFrame: Lagrangian condition fails, defect {defect:.3e}")
+        sv = np.linalg.svd(np.vstack([q, p]), compute_uv=False)
+        if sv[-1] <= tol.frame_rank * sv[0]:
+            raise StructureError(
+                f"LagrangianFrame: stacked frame rank-deficient (sv ratio {sv[-1]/sv[0]:.3e})")
 
     @property
     def n(self) -> int:
@@ -151,94 +165,11 @@ class LagrangianFrame:
         return np.vstack([self.q, self.p])
 
 
-@dataclass(frozen=True)
-class ReferencePlane:
-    """Reference Lagrangian plane (q0, p0), same invariants as a frame."""
-
-    q0: np.ndarray
-    p0: np.ndarray
-    _tol: Tolerances = dataclass_field(default=DEFAULT_TOLERANCES, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "q0", np.asarray(self.q0, dtype=float))
-        object.__setattr__(self, "p0", np.asarray(self.p0, dtype=float))
-        _check_frame(self.q0, self.p0, self._tol, "ReferencePlane")
-
-    @property
-    def n(self) -> int:
-        return self.q0.shape[0]
-
-
-def standard_reference(n: int) -> ReferencePlane:
-    """The standard reference plane (q0, p0) = (0, I)."""
-    return ReferencePlane(q0=np.zeros((n, n)), p0=np.eye(n))
-
-
 def _cond2(m: np.ndarray) -> float:
     sv = np.linalg.svd(m, compute_uv=False)
     if sv[-1] == 0.0:
         return np.inf
     return float(sv[0] / sv[-1])
-
-
-def normalize_reference(
-    frame: LagrangianFrame,
-    ref: ReferencePlane,
-    field: CoefficientField,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> tuple[LagrangianFrame, CoefficientField]:
-    """Carry ``ref`` to the standard reference plane (0, I).
-
-    Applies the symplectic change of coordinates
-    ``T = [[p0^T, -p0^T q0 p0^{-1}], [0, p0^{-1}]]`` to the frame and
-    conjugates the coefficient field, so downstream crossing counts against
-    the standard plane measure intersections with ``ref``.  Total-frame rank
-    and the Lagrangian condition are preserved.  Requires p0 invertible;
-    otherwise pre-rotate frame and reference with J = [[0, -I], [I, 0]].
-    """
-    n = frame.n
-    if ref.n != n or field.n != n:
-        raise StructureError("frame, reference and field dimensions disagree")
-    if _cond2(ref.p0) >= tol.cond_limit:
-        raise NormalizationError("reference not normalizable; pre-rotate")
-    p0 = ref.p0
-    g = np.linalg.solve(p0.T, ref.q0.T).T  # q0 p0^{-1}, symmetric for Lagrangian refs
-    g_defect = float(np.max(np.abs(g - g.T)))
-    if g_defect > tol.chart_symmetry * max(1.0, float(np.max(np.abs(g)))):
-        raise StructureError(f"reference chart q0 p0^-1 asymmetric by {g_defect:.3e}")
-    g = symmetrize(g)
-
-    p0_inv = np.linalg.solve(p0, np.eye(n))
-    t_mat = np.block([[p0.T, -p0.T @ g], [np.zeros((n, n)), p0_inv]])
-    t_inv = np.block([[p0_inv.T, g @ p0], [np.zeros((n, n)), p0]])
-
-    q_new = p0.T @ (frame.q - g @ frame.p)
-    p_new = p0_inv @ frame.p
-    new_frame = LagrangianFrame(q=q_new, p=p_new)
-
-    def conjugated(x: float, lam: float) -> SymplecticCoefficients:
-        a_full = t_mat @ field.evaluate(x, lam).full() @ t_inv
-        return validate_coefficients(a_full[:n, :n], a_full[:n, n:],
-                                     a_full[n:, :n], a_full[n:, n:], tol)
-
-    def conj_limit(limit: Callable[[float], SymplecticCoefficients]):
-        def inner(lam: float) -> SymplecticCoefficients:
-            a_full = t_mat @ limit(lam).full() @ t_inv
-            return validate_coefficients(a_full[:n, :n], a_full[:n, n:],
-                                         a_full[n:, :n], a_full[n:, n:], tol)
-        return inner
-
-    new_field = CoefficientField(
-        n=n,
-        evaluate=conjugated,
-        x_minus=field.x_minus,
-        x_plus=field.x_plus,
-        farfield_minus=conj_limit(field.farfield_minus),
-        farfield_plus=conj_limit(field.farfield_plus),
-        farfield_tol=field.farfield_tol,
-        name=field.name + "|normalized" if field.name else "normalized",
-    )
-    return new_frame, new_field
 
 
 def _rank(m: np.ndarray, rel_threshold: float) -> int:
@@ -252,7 +183,7 @@ def total_frame_rank_loss(frame: LagrangianFrame, tol: Tolerances = DEFAULT_TOLE
     """Rank loss of q, equal to the rank loss of [[q, 0], [p, I]].
 
     This counts the dimension of intersection with the standard reference
-    plane (after normalization, with the chosen reference).
+    plane (0, I).
     """
     return frame.n - _rank(frame.q, tol.rank_threshold)
 

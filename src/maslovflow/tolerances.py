@@ -18,27 +18,21 @@ class Tolerances:
     eig_orthonormality : max-norm bound on ``V^T V - I`` for eigenvector bases.
     eig_reconstruction : relative max-norm bound on ``M - V diag(w) V^T``.
     unitary_check : max-norm bound on ``u u^dag - I`` accepted by det_phase.
-    unitary_type : max-norm bound for UnitarySymmetric type invariants.
-    skew_check : max-norm bound on ``sigma + sigma^dag`` for skew-Hermitian inputs.
+    unitary_type : max-norm bound on the unitarity and symmetry defects of
+        UnitarySymmetric inputs and of every raw unitary-route step.
     block_structure : absolute defect accepted when validating sp(R^2n) blocks.
-    symplectic_check : relative defect accepted on ``Phi^T J Phi - J`` for
-        propagators fed to the Moebius action.
     frame_lagrangian : max-norm bound on ``q^T p - p^T q`` for frames.
     frame_rank : relative singular-value floor for full-rank stacked frames.
     rank_threshold : relative singular-value cutoff used by rank computations.
-    cond_limit : condition-number gate for chart/normalization inversions.
+    cond_limit : condition-number gate for chart inversions.
     chart_symmetry : relative pre-symmetrization defect allowed in charts.
     chart_tol : angular radius (radians) around -1 on the unit circle inside
         which a Cayley eigenvalue counts as singular; equivalently
         ``|mu| > cot(chart_tol / 2)``.
-    chart_imag_residue : relative imaginary residue allowed when the inverse
-        Cayley transform recovers a real chart.
-    xi_projection : relative skew-Hermitian defect allowed in the raw vector
-        field before projection.
     hyperbolicity : minimum ``|Re(eigenvalue)`` for a hyperbolic far field.
     farfield_default : default far-field consistency tolerance for fields that
         do not declare their own.
-    reproject_defect : unitarity defect above which emk_step re-projects.
+    reproject_defect : unitarity defect above which integrate_unitary re-projects.
     circle_consistency : bound on ``|exp(i theta) - det u|`` along unitary paths.
     phase_match_reject : largest per-step phase motion accepted when tracking
         eigenphases between samples.
@@ -50,17 +44,13 @@ class Tolerances:
     eig_reconstruction: float = 1e-10
     unitary_check: float = 1e-8
     unitary_type: float = 1e-10
-    skew_check: float = 1e-12
     block_structure: float = 1e-10
-    symplectic_check: float = 1e-8
     frame_lagrangian: float = 1e-10
     frame_rank: float = 1e-10
     rank_threshold: float = 1e-8
     cond_limit: float = 1e12
     chart_symmetry: float = 1e-8
     chart_tol: float = 1e-3
-    chart_imag_residue: float = 1e-9
-    xi_projection: float = 1e-9
     hyperbolicity: float = 1e-8
     farfield_default: float = 1e-8
     reproject_defect: float = 1e-12

@@ -13,12 +13,11 @@ the group and needs no branch unwinding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .errors import ChartDomainError, StepSizeError, StructureError
-from .matrixkit import det_phase, mat_exp, sym_eig, symmetrize
+from .errors import StepSizeError, StructureError
+from .matrixkit import det_phase, mat_exp, sym_eig
 from .riccati import ChartPath, SymmetricChart
 from .system import CoefficientField, LagrangianFrame, SymplecticCoefficients
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -26,16 +25,11 @@ from .tolerances import DEFAULT_TOLERANCES, Tolerances
 __all__ = [
     "UnitarySymmetric",
     "RotatedCoefficients",
-    "SkewHermitian",
     "ThetaTrace",
     "UnitaryPath",
     "cayley",
-    "inverse_cayley",
     "unitary_from_frame",
     "rotated_coefficients",
-    "xi_field",
-    "dexpinv",
-    "emk_step",
     "integrate_unitary",
     "theta_from_chart",
 ]
@@ -69,40 +63,12 @@ class UnitarySymmetric:
 class RotatedCoefficients:
     """Complex coefficient pair of the unitary-manifold Riccati flow.
 
-    C is symmetric and D skew-Hermitian whenever the source blocks satisfy
-    the sp(R^2n) structure (checked at construction).
+    C is symmetric and D skew-Hermitian because the source blocks lie in
+    sp(R^2n), which the coefficient field checks when it is built.
     """
 
     C: np.ndarray
     D: np.ndarray
-    _tol: float = DEFAULT_TOLERANCES.unitary_type
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.C, dtype=complex)
-        d = np.asarray(self.D, dtype=complex)
-        object.__setattr__(self, "C", c)
-        object.__setattr__(self, "D", d)
-        scale = max(1.0, float(np.max(np.abs(c))), float(np.max(np.abs(d))))
-        if float(np.max(np.abs(c - c.T))) > self._tol * scale:
-            raise StructureError("rotated C not symmetric")
-        if float(np.max(np.abs(d + d.conj().T))) > self._tol * scale:
-            raise StructureError("rotated D not skew-Hermitian")
-
-
-@dataclass(frozen=True)
-class SkewHermitian:
-    """Element of the unitary Lie algebra: sigma^dag = -sigma."""
-
-    mat: np.ndarray
-    _tol: float = DEFAULT_TOLERANCES.skew_check
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.mat, dtype=complex)
-        object.__setattr__(self, "mat", m)
-        scale = max(1.0, float(np.max(np.abs(m))))
-        defect = float(np.max(np.abs(m + m.conj().T)))
-        if defect > self._tol * scale:
-            raise StructureError(f"not skew-Hermitian: defect {defect:.3e}")
 
 
 @dataclass(frozen=True)
@@ -125,12 +91,14 @@ class ThetaTrace:
 class UnitaryPath:
     """Unitary samples with the accumulated angle and drift diagnostics.
 
-    Defects are measured on the raw step products, before any re-projection,
-    so they quantify the intrinsic drift of the scheme.
+    ``sigmas[m]`` is the Lie-algebra step that produced sample m (zero at
+    m = 0).  Defects are measured on the raw step products, before any
+    re-projection, so they quantify the intrinsic drift of the scheme.
     """
 
     grid: np.ndarray
     us: np.ndarray
+    sigmas: np.ndarray
     theta_trace: ThetaTrace
     max_unitarity_defect: float
     max_symmetry_defect: float
@@ -148,22 +116,6 @@ def cayley(s: SymmetricChart, tol: Tolerances = DEFAULT_TOLERANCES) -> UnitarySy
     phases = (1.0 - 1j * dec.eigenvalues) / (1.0 + 1j * dec.eigenvalues)
     v = dec.eigenvectors
     return UnitarySymmetric((v * phases) @ v.T)
-
-
-def inverse_cayley(u: UnitarySymmetric, tol: Tolerances = DEFAULT_TOLERANCES) -> SymmetricChart:
-    """Inverse Cayley transform s = -i (I - u)(I + u)^{-1}.
-
-    Undefined when u has an eigenvalue at -1 (the plane lies on the train).
-    """
-    w = np.linalg.eigvals(u.mat)
-    if float(np.min(np.abs(w + 1.0))) < tol.unitary_check:
-        raise ChartDomainError("plane on the train; chart undefined")
-    n = u.n
-    s = -1j * np.linalg.solve((np.eye(n) + u.mat).T, (np.eye(n) - u.mat).T).T
-    imag_residue = float(np.max(np.abs(s.imag)))
-    if imag_residue > tol.chart_imag_residue * max(1.0, float(np.max(np.abs(s)))):
-        raise StructureError(f"inverse Cayley not real: residue {imag_residue:.3e}")
-    return SymmetricChart(symmetrize(s.real))
 
 
 def unitary_from_frame(frame: LagrangianFrame) -> UnitarySymmetric:
@@ -186,93 +138,10 @@ def rotated_coefficients(coeffs: SymplecticCoefficients) -> RotatedCoefficients:
     return RotatedCoefficients(C=c_rot, D=d_rot)
 
 
-def _xi_raw(u: np.ndarray, rot: RotatedCoefficients, tol: Tolerances) -> np.ndarray:
-    xi = rot.D - 0.5 * (u @ np.conj(rot.C) - rot.C @ u.conj().T)
-    defect = float(np.max(np.abs(xi + xi.conj().T)))
-    scale = max(1.0, float(np.max(np.abs(xi))))
-    if defect > tol.xi_projection * scale:
-        raise StructureError(f"xi far from skew-Hermitian: defect {defect:.3e}")
-    return 0.5 * (xi - xi.conj().T)
-
-
-def xi_field(
-    u: UnitarySymmetric,
-    rot: RotatedCoefficients,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> SkewHermitian:
-    """Skew-Hermitian vector field xi = D - (u C* - C u^dag)/2.
-
-    Satisfies xi u - u xi* = C + D u - u (D* + C* u) on unitary symmetric u,
-    so the Lie-algebra action reproduces the rotated Riccati flow.
-    """
-    return SkewHermitian(_xi_raw(u.mat, rot, tol))
-
-
-# Bernoulli numbers B_k (B_1 = -1/2 convention) for the dexpinv series.
-_BERNOULLI = [Fraction(1), Fraction(-1, 2), Fraction(1, 6), Fraction(0),
-              Fraction(-1, 30), Fraction(0), Fraction(1, 42), Fraction(0),
-              Fraction(-1, 30)]
-
-
-def dexpinv(sigma: SkewHermitian, xi: SkewHermitian, order: int = 2) -> SkewHermitian:
-    """Truncated inverse differential of exp:
-    sum_{k<=order} (B_k / k!) ad_sigma^k (xi).
-
-    Nested commutators of skew-Hermitian matrices stay skew-Hermitian, so the
-    truncation remains in the Lie algebra at every order.
-    """
-    if not 0 <= order <= 8:
-        raise ValueError(f"order must be in [0, 8], got {order}")
-    s = sigma.mat
-    term = xi.mat
-    acc = term.copy()
-    kfact = 1
-    for k in range(1, order + 1):
-        term = s @ term - term @ s
-        kfact *= k
-        coeff = _BERNOULLI[k] / kfact
-        if coeff != 0:
-            acc = acc + float(coeff) * term
-    return SkewHermitian(0.5 * (acc - acc.conj().T))
-
-
 def _polar_symmetric_project(u: np.ndarray) -> np.ndarray:
     w, _, vh = np.linalg.svd(u)
     proj = w @ vh
     return 0.5 * (proj + proj.T)
-
-
-def emk_step(
-    u_m: UnitarySymmetric,
-    x_m: float,
-    h: float,
-    field: CoefficientField,
-    lam: float,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    reproject: bool = True,
-) -> tuple[SkewHermitian, UnitarySymmetric]:
-    """One Euler step in the Lie algebra: sigma = h xi(x_m, u_m), then
-    u -> exp(sigma) u exp(sigma)^T.
-
-    The Lie-algebra element restarts at zero each step, so dexpinv reduces to
-    the identity at this order.  The group action keeps u unitary symmetric
-    to machine precision; re-projection (polar factor, then symmetric
-    averaging) only happens if the defect exceeds ``tol.reproject_defect``.
-    """
-    if h <= 0:
-        raise ValueError("step size must be positive")
-    rot = rotated_coefficients(field.evaluate(x_m, lam))
-    sigma = h * _xi_raw(u_m.mat, rot, tol)
-    e = mat_exp(sigma)
-    u_next = e @ u_m.mat @ e.T
-    if reproject:
-        defect = max(
-            float(np.max(np.abs(u_next @ u_next.conj().T - np.eye(u_m.n)))),
-            float(np.max(np.abs(u_next - u_next.T))),
-        )
-        if defect > tol.reproject_defect:
-            u_next = _polar_symmetric_project(u_next)
-    return SkewHermitian(sigma), UnitarySymmetric(u_next)
 
 
 def integrate_unitary(
@@ -280,64 +149,76 @@ def integrate_unitary(
     lam: float,
     grid: np.ndarray,
     u0: UnitarySymmetric,
-    theta0: float | None = None,
     tol: Tolerances = DEFAULT_TOLERANCES,
     reproject: bool = True,
 ) -> UnitaryPath:
     """Integrate the unitary flow over ``grid`` with the Lie-algebra Euler
-    scheme, accumulating theta by -2i tr(sigma_step).
+    scheme and accumulate theta by -2i tr(sigma_step).
 
-    ``theta0`` defaults to the principal value of -i log det u0.  The sampled
-    path satisfies exp(i theta_m) = det u_m up to roundoff; the worst circle
-    defect is recorded and gated.
+    Each step takes sigma = h xi(x_m, u_m) with the skew-Hermitian field
+    xi = D - (u C* - C u^dag)/2, which satisfies xi u - u xi* = C + D u -
+    u (D* + C* u) on unitary symmetric u, and then u -> exp(sigma) u
+    exp(sigma)^T.  The unitarity and symmetry defects of every raw product
+    are measured: above ``tol.unitary_type`` they raise ``StructureError``;
+    above ``tol.reproject_defect`` the sample is re-projected (polar factor,
+    then symmetric averaging) when ``reproject`` is set.  Theta starts at the
+    principal value of -i log det u0; the sampled path satisfies
+    exp(i theta_m) = det u_m up to roundoff, and the worst circle defect is
+    recorded and gated.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
         raise StructureError("grid must be strictly increasing with >= 2 points")
     if u0.n != field.n:
         raise StructureError("initial u dimension disagrees with field")
-    if theta0 is None:
-        theta0 = det_phase(u0.mat, tol)
 
     nsamp = grid.size
     n = field.n
     us = np.empty((nsamp, n, n), dtype=complex)
+    sigmas = np.zeros((nsamp, n, n), dtype=complex)
     theta = np.empty(nsamp)
     us[0] = u0.mat
-    theta[0] = theta0
+    theta[0] = det_phase(u0.mat, tol)
     eye = np.eye(n)
     max_u_defect = 0.0
     max_s_defect = 0.0
     reprojected = 0
-    u = u0
+    u = u0.mat
     for m in range(nsamp - 1):
         h = grid[m + 1] - grid[m]
-        sigma, u_next = emk_step(u, grid[m], h, field, lam, tol, reproject=False)
-        raw = u_next.mat
-        u_defect = float(np.max(np.abs(raw @ raw.conj().T - eye)))
-        s_defect = float(np.max(np.abs(raw - raw.T)))
+        rot = rotated_coefficients(field.evaluate(grid[m], lam))
+        xi = rot.D - 0.5 * (u @ np.conj(rot.C) - rot.C @ u.conj().T)
+        sigma = h * (0.5 * (xi - xi.conj().T))
+        e = mat_exp(sigma)
+        u_next = e @ u @ e.T
+        u_defect = float(np.max(np.abs(u_next @ u_next.conj().T - eye)))
+        s_defect = float(np.max(np.abs(u_next - u_next.T)))
+        if u_defect > tol.unitary_type or s_defect > tol.unitary_type:
+            raise StructureError(f"step {m} left the unitary symmetric matrices: "
+                                 f"unitarity {u_defect:.3e}, symmetry {s_defect:.3e}")
         max_u_defect = max(max_u_defect, u_defect)
         max_s_defect = max(max_s_defect, s_defect)
         if reproject and max(u_defect, s_defect) > tol.reproject_defect:
-            u_next = UnitarySymmetric(_polar_symmetric_project(raw))
+            u_next = _polar_symmetric_project(u_next)
             reprojected += 1
-        theta[m + 1] = theta[m] + 2.0 * float(np.imag(np.trace(sigma.mat)))
-        us[m + 1] = u_next.mat
+        theta[m + 1] = theta[m] + 2.0 * float(np.imag(np.trace(sigma)))
+        sigmas[m + 1] = sigma
+        us[m + 1] = u_next
         u = u_next
 
     circle = float(np.max(np.abs(np.exp(1j * theta) - np.linalg.det(us))))
     if circle > tol.circle_consistency:
         raise StructureError(
             f"theta/determinant circle consistency broken: defect {circle:.3e}")
-    trace = ThetaTrace(grid=grid, theta=theta, theta0=float(theta0))
-    return UnitaryPath(grid=grid, us=us, theta_trace=trace,
+    trace = ThetaTrace(grid=grid, theta=theta, theta0=float(theta[0]))
+    return UnitaryPath(grid=grid, us=us, sigmas=sigmas, theta_trace=trace,
                        max_unitarity_defect=max_u_defect,
                        max_symmetry_defect=max_s_defect,
                        max_circle_defect=circle,
                        reprojected_steps=reprojected)
 
 
-def theta_from_chart(path: ChartPath, theta0: float | None = None) -> ThetaTrace:
+def theta_from_chart(path: ChartPath) -> ThetaTrace:
     """Continuous angle along a chart path via the trace formula
     theta = -2 tr arctan(s), unwound by wrapping per-step increments.
 
@@ -347,6 +228,5 @@ def theta_from_chart(path: ChartPath, theta0: float | None = None) -> ThetaTrace
     base = -2.0 * np.sum(np.arctan(path.eigen_trace.mu), axis=1)
     delta = np.diff(base)
     delta = np.mod(delta + np.pi, 2.0 * np.pi) - np.pi
-    start = base[0] if theta0 is None else float(theta0)
-    theta = start + np.concatenate([[0.0], np.cumsum(delta)])
-    return ThetaTrace(grid=path.grid, theta=theta, theta0=start)
+    theta = base[0] + np.concatenate([[0.0], np.cumsum(delta)])
+    return ThetaTrace(grid=path.grid, theta=theta, theta0=base[0])

@@ -28,3 +28,13 @@ def random_lagrangian_frame(rng: np.random.Generator, n: int):
     p2 = x @ (shear @ q + p)
     g = rng.standard_normal((n, n)) + 3.0 * np.eye(n)
     return LagrangianFrame(q=q2 @ g, p=p2 @ g)
+
+
+def constant_field(coeffs, x_minus: float = 0.0, x_plus: float = 1.0):
+    """Coefficient field equal to ``coeffs`` everywhere, far fields included."""
+    from maslovflow import CoefficientField
+
+    return CoefficientField(n=coeffs.n, evaluate=lambda x, lam: coeffs,
+                            x_minus=x_minus, x_plus=x_plus,
+                            farfield_minus=lambda lam: coeffs,
+                            farfield_plus=lambda lam: coeffs)

@@ -53,6 +53,15 @@ class TestTrace:
                    "--out", str(tmp_path / "z.csv")])
         assert rc == EXIT_MODEL
 
+    def test_x_range_sets_model_window(self, tmp_path):
+        out = tmp_path / "wide.csv"
+        rc = main(["trace", "--model", "kdv7", "--lambda", "0.05", "--x-range=-30:30",
+                   "--out", str(out)])
+        assert rc == EXIT_OK
+        rows = [ln for ln in _read(out).splitlines() if not ln.startswith("#")][1:]
+        assert rows[0].startswith("-30,") and rows[-1].startswith("30,")
+        assert "# crossings: 2" in _read(out)
+
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["trace", "--model", "poschl_teller:2", "--lambda", "-2",
@@ -126,6 +135,30 @@ class TestSweep:
                    "--out", str(tmp_path / "d.csv")])
         assert rc == 3
         assert "disagree" in capsys.readouterr().err
+
+
+    def test_failing_rows_listed_and_files_written(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        rc = main(["sweep", "--model", "poschl_teller:3", "--lambda-range=-10:-0.5",
+                   "--lambda-count", "4", "--step", "0.5"])
+        assert rc == 3
+        assert "4 row(s) failed" in capsys.readouterr().err
+        rows = [ln for ln in _read(tmp_path / "sweep_poschl_teller.csv").splitlines()
+                if not ln.startswith("#")][1:]
+        assert len(rows) == 4 and all(r.endswith(",error") for r in rows)
+        summary = json.loads(_read(tmp_path / "sweep_poschl_teller.json"))
+        assert len(summary["errors"]) == 4
+        assert all("phase tracking lost" in e["reason"] for e in summary["errors"])
+        assert summary["detected_eigenvalues"] == []
+
+    def test_x_range_sets_model_window(self, tmp_path):
+        rc = main(["sweep", "--model", "kdv7", "--lambda-range=-0.25:0.05",
+                   "--lambda-count", "2", "--x-range=-30:30", "--step", "0.05",
+                   "--out", str(tmp_path / "wide.csv")])
+        assert rc == EXIT_OK
+        summary = json.loads(_read(tmp_path / "wide.json"))
+        assert [(b["lambda_lo"], b["lambda_hi"]) for b in summary["detected_eigenvalues"]] \
+            == [(-0.25, 0.05)]
 
 
 class TestRefine:

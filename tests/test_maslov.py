@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import maslovflow
 
 from maslovflow import (
     ConfigError,
@@ -15,7 +22,7 @@ from maslovflow import (
     run_trace,
     sweep_lambda,
 )
-from maslovflow.errors import StructureError
+from maslovflow.errors import StepSizeError, StructureError
 
 
 def _grid(n=4001, lo=-20.0, hi=20.0):
@@ -165,6 +172,16 @@ class TestRunTrace:
         assert total == full.result.unsigned_count == 2
 
 
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is only needed once crossings are detected
+    src = str(Path(maslovflow.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, maslovflow; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
 class TestSweep:
     def test_poschl_teller_two_brackets(self):
         table = sweep_lambda("poschl_teller:2", np.linspace(-5, -0.2, 49),
@@ -211,6 +228,25 @@ class TestSweep:
             if increments:
                 assert a.lam in bracket_los
 
+    def test_error_rows_excluded_from_brackets(self, monkeypatch):
+        import maslovflow.maslov as maslov_mod
+
+        lam_grid = np.linspace(-5, -0.2, 7)
+        clean = sweep_lambda("poschl_teller:2", lam_grid, _grid(1001), backend="unitary")
+        real = maslov_mod._sweep_row
+
+        def failing(field, lam, grid, backend, tol):
+            if lam == lam_grid[1]:
+                raise StepSizeError("forced")
+            return real(field, lam, grid, backend, tol)
+
+        # a row that errors drops out, so its neighbours bracket the jump
+        monkeypatch.setattr(maslov_mod, "_sweep_row", failing)
+        table = sweep_lambda("poschl_teller:2", lam_grid, _grid(1001), backend="unitary")
+        assert table.rows[1].status == "error" and table.rows[1].reason == "forced"
+        assert table.rows[:1] + table.rows[2:] == clean.rows[:1] + clean.rows[2:]
+        assert (lam_grid[0], lam_grid[2], 1) in table.detected_eigenvalues
+
     def test_workers_give_identical_table(self):
         lam_grid = np.linspace(-5, -0.2, 13)
         t1 = sweep_lambda("poschl_teller:2", lam_grid, _grid(1001), backend="unitary", workers=1)
@@ -238,6 +274,11 @@ class TestRefine:
     def test_equal_counts_rejected(self):
         with pytest.raises(ConfigError, match="equal"):
             refine_eigenvalue("poschl_teller:2", -3.5, -2.5, _grid(1001))
+
+    def test_failing_probe_raises(self):
+        # at h = 0.5 the unitary route's theta moves by more than pi in a step
+        with pytest.raises(StepSizeError):
+            refine_eigenvalue("poschl_teller:3", -10.0, -0.5, _grid(81))
 
 
 class TestEndIntersection:

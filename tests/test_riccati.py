@@ -8,7 +8,6 @@ from maslovflow import (
     farfield_frame,
     integrate_chart,
     mat_exp,
-    mobius_step,
     poschl_teller_field,
     riccati_rhs,
     singular_eigenvalue_count,
@@ -16,7 +15,7 @@ from maslovflow import (
     validate_coefficients,
 )
 from maslovflow.selftest import planted_rank_loss_frame
-from conftest import random_lagrangian_frame
+from conftest import constant_field, random_lagrangian_frame
 from oracles import poschl_teller_potential, shooting_node_count, unstable_chart_fixed_point
 
 
@@ -25,6 +24,13 @@ def _random_coeffs(rng, n):
     b = rng.standard_normal((n, n))
     c = rng.standard_normal((n, n))
     return validate_coefficients(a, 0.5 * (b + b.T), 0.5 * (c + c.T), -a.T)
+
+
+def _chart_steps(coeffs, s, steps):
+    """Chart after integrate_chart takes the given steps on a constant field;
+    each step applies exp(h A) through the Moebius action."""
+    grid = np.concatenate([[0.0], np.cumsum(steps)])
+    return integrate_chart(constant_field(coeffs), 0.0, grid, s).charts[-1]
 
 
 class TestRiccatiRhs:
@@ -56,10 +62,13 @@ class TestRiccatiRhs:
 
 
 class TestMobiusStep:
+    """The Moebius action s -> (phi21 + phi22 s)(phi11 + phi12 s)^-1, run
+    through integrate_chart on constant fields."""
+
     def test_identity_propagator(self, rng):
         s = SymmetricChart(rng.standard_normal((3, 3)))
-        s2 = mobius_step(s, np.eye(6))
-        assert np.allclose(s2.mat, s.mat)
+        zero = validate_coefficients(*[np.zeros((3, 3))] * 4)
+        assert np.allclose(_chart_steps(zero, s, [0.5]), s.mat)
 
     def test_algebraic_fixed_point(self, rng):
         coeffs = _random_coeffs(rng, 3)
@@ -72,9 +81,8 @@ class TestMobiusStep:
             pytest.skip("unstable space not n-dimensional for this draw")
         rhs = riccati_rhs(SymmetricChart(s0), coeffs)
         assert np.max(np.abs(rhs)) < 1e-8 * max(1.0, np.max(np.abs(s0)) ** 2)
-        phi = mat_exp(0.05 * full)
-        s1 = mobius_step(SymmetricChart(s0), phi)
-        assert np.max(np.abs(s1.mat - s0)) < 1e-8 * max(1.0, np.max(np.abs(s0)))
+        s1 = _chart_steps(coeffs, SymmetricChart(s0), [0.05])
+        assert np.max(np.abs(s1 - s0)) < 1e-8 * max(1.0, np.max(np.abs(s0)))
 
     def test_finite_difference_consistency(self, rng):
         coeffs = _random_coeffs(rng, 3)
@@ -82,26 +90,19 @@ class TestMobiusStep:
         rhs = riccati_rhs(s, coeffs)
         errors = []
         for h in (1e-2, 1e-3, 1e-4):
-            s_h = mobius_step(s, mat_exp(h * coeffs.full()))
-            fd = (s_h.mat - s.mat) / h
+            s_h = _chart_steps(coeffs, s, [h])
+            fd = (s_h - s.mat) / h
             errors.append(np.max(np.abs(fd - rhs)))
         slopes = np.log10(errors[:-1]) - np.log10(errors[1:])
         assert np.all(np.array(slopes) > 0.9)  # observed order >= 1
 
     def test_cocycle(self, rng):
+        # two steps exp(0.11 A) exp(0.07 A) against one step exp(0.18 A)
         coeffs = _random_coeffs(rng, 3)
-        full = coeffs.full()
         s = SymmetricChart(0.5 * rng.standard_normal((3, 3)))
-        phi1 = mat_exp(0.07 * full)
-        phi2 = mat_exp(0.11 * full)
-        lhs = mobius_step(mobius_step(s, phi1), phi2).mat
-        rhs = mobius_step(s, phi2 @ phi1).mat
+        lhs = _chart_steps(coeffs, s, [0.07, 0.11])
+        rhs = _chart_steps(coeffs, s, [0.18])
         assert np.max(np.abs(lhs - rhs)) < 1e-9 * max(1.0, np.max(np.abs(lhs)))
-
-    def test_non_symplectic_rejected(self, rng):
-        s = SymmetricChart(np.zeros((2, 2)))
-        with pytest.raises(StructureError, match="symplectic"):
-            mobius_step(s, np.diag([2.0, 1.0, 1.0, 1.0]))
 
 
 class TestIntegrateChart:
@@ -110,13 +111,8 @@ class TestIntegrateChart:
         lam = -3.0
 
         # constant far-field system: s0 is an equilibrium
-        from maslovflow import CoefficientField
-
         a_inf = field.farfield_minus(lam)
-        const_field = CoefficientField(n=1, evaluate=lambda x, l: a_inf,
-                                       x_minus=-20, x_plus=20,
-                                       farfield_minus=lambda l: a_inf,
-                                       farfield_plus=lambda l: a_inf)
+        const_field = constant_field(a_inf, -20.0, 20.0)
         s0 = chart_from_frame(farfield_frame(a_inf, "unstable"))
         grid = np.linspace(-20, 20, 201)
         path = integrate_chart(const_field, lam, grid, s0)
@@ -179,14 +175,9 @@ class TestIntegrateChart:
         # s' = 1 + s^2 with s(0) = 0 is s = tan(x): singular at pi/2, yet the
         # Moebius form (rotation matrices here) passes straight through and
         # lands back on tan(x)
-        from maslovflow import CoefficientField
-
         coeffs = validate_coefficients(np.zeros((1, 1)), -np.ones((1, 1)),
                                        np.ones((1, 1)), np.zeros((1, 1)))
-        field = CoefficientField(n=1, evaluate=lambda x, lam: coeffs,
-                                 x_minus=0.0, x_plus=3.0,
-                                 farfield_minus=lambda lam: coeffs,
-                                 farfield_plus=lambda lam: coeffs)
+        field = constant_field(coeffs, 0.0, 3.0)
         grid = np.linspace(0.0, 3.0, 301)  # pi/2 falls between samples
         path = integrate_chart(field, 0.0, grid, SymmetricChart(np.zeros((1, 1))))
         s_vals = path.charts[:, 0, 0]
@@ -195,14 +186,9 @@ class TestIntegrateChart:
         assert np.max(np.abs(s_vals)) > 100.0  # sailed near the singularity
 
     def test_flags_sample_landing_on_singularity(self):
-        from maslovflow import CoefficientField
-
         coeffs = validate_coefficients(np.zeros((1, 1)), -np.ones((1, 1)),
                                        np.ones((1, 1)), np.zeros((1, 1)))
-        field = CoefficientField(n=1, evaluate=lambda x, lam: coeffs,
-                                 x_minus=0.0, x_plus=np.pi,
-                                 farfield_minus=lambda lam: coeffs,
-                                 farfield_plus=lambda lam: coeffs)
+        field = constant_field(coeffs, 0.0, np.pi)
         grid = np.linspace(0.0, np.pi, 101)  # grid[50] = pi/2 up to roundoff
         path = integrate_chart(field, 0.0, grid, SymmetricChart(np.zeros((1, 1))))
         assert 50 in path.flagged_samples

@@ -3,17 +3,16 @@ import pytest
 
 from maslovflow import (
     ChartDomainError,
+    CoefficientField,
     HyperbolicityError,
     LagrangianFrame,
-    NormalizationError,
-    ReferencePlane,
     StructureError,
+    SymplecticCoefficients,
     cayley,
     chart_from_frame,
     farfield_frame,
     kdv7_coefficients,
     kdv7_field,
-    normalize_reference,
     poschl_teller_field,
     total_frame_rank_loss,
     validate_coefficients,
@@ -49,82 +48,47 @@ class TestValidateCoefficients:
         assert coeffs.n == 3
 
 
-class TestNormalizeReference:
-    def test_standard_reference_is_identity_map(self, rng):
-        frame = random_lagrangian_frame(rng, 3)
-        ref = ReferencePlane(q0=np.zeros((3, 3)), p0=np.eye(3))
-        field = kdv7_field()
-        new_frame, new_field = normalize_reference(frame, ref, field)
-        assert np.allclose(new_frame.q, frame.q)
-        assert np.allclose(new_frame.p, frame.p)
-        a1 = field.evaluate(0.3, 0.1).full()
-        a2 = new_field.evaluate(0.3, 0.1).full()
-        assert np.allclose(a1, a2)
-
-    def test_identity_pair_reference_substitution(self, rng):
-        frame = random_lagrangian_frame(rng, 3)
-        ref = ReferencePlane(q0=np.eye(3), p0=np.eye(3))
-        field = kdv7_field()
-        new_frame, _ = normalize_reference(frame, ref, field)
-        assert np.allclose(new_frame.q, frame.q - frame.p)
-        assert np.allclose(new_frame.p, frame.p)
-
-    def test_rank_preservation_random_symplectic_reference(self, rng):
-        for _ in range(10):
-            n = 3
-            frame = random_lagrangian_frame(rng, n)
-            ref_frame = random_lagrangian_frame(rng, n)
-            if np.linalg.cond(ref_frame.p) > 1e6:
-                continue
-            ref = ReferencePlane(q0=ref_frame.q, p0=ref_frame.p)
-            field = kdv7_field()
-            new_frame, _ = normalize_reference(frame, ref, field)
-            total_before = np.block([[frame.q, ref.q0], [frame.p, ref.p0]])
-            total_after = np.block([[new_frame.q, np.zeros((n, n))],
-                                    [new_frame.p, np.eye(n)]])
-            assert svd_rank(total_after) == svd_rank(total_before)
-
-    def test_lagrangian_condition_preserved(self, rng):
-        for _ in range(10):
-            frame = random_lagrangian_frame(rng, 4)
-            ref_frame = random_lagrangian_frame(rng, 4)
-            if np.linalg.cond(ref_frame.p) > 1e6:
-                continue
-            ref = ReferencePlane(q0=ref_frame.q, p0=ref_frame.p)
-            new_frame, _ = normalize_reference(frame, ref, _field4())
-            defect = np.max(np.abs(new_frame.q.T @ new_frame.p - new_frame.p.T @ new_frame.q))
-            assert defect < 1e-9 * max(1.0, np.max(np.abs(new_frame.q)) * np.max(np.abs(new_frame.p)))
-
-    def test_conjugated_field_stays_symplectic(self, rng):
-        frame = random_lagrangian_frame(rng, 3)
-        ref_frame = random_lagrangian_frame(rng, 3)
-        ref = ReferencePlane(q0=ref_frame.q, p0=ref_frame.p)
-        _, new_field = normalize_reference(frame, ref, kdv7_field())
-        coeffs = new_field.evaluate(1.0, -0.1)  # validates internally
-        assert np.array_equal(coeffs.d, -coeffs.a.T)
-
-    def test_singular_p0_rejected(self):
-        frame = LagrangianFrame(q=np.eye(2), p=np.zeros((2, 2)))
-        ref = ReferencePlane(q0=np.eye(2), p0=np.zeros((2, 2)))
-        with pytest.raises(NormalizationError, match="pre-rotate"):
-            normalize_reference(frame, ref, _free_field(2))
+def _scalar_field(evaluate, x_minus=-1.0, x_plus=1.0, **kwargs):
+    return CoefficientField(n=1, evaluate=evaluate, x_minus=x_minus, x_plus=x_plus,
+                            farfield_minus=lambda lam: evaluate(x_minus, lam),
+                            farfield_plus=lambda lam: evaluate(x_plus, lam), **kwargs)
 
 
-def _free_field(n):
-    """Free Schroedinger-type field in dimension n (lambda only in the c block)."""
-    from maslovflow import CoefficientField, validate_coefficients as vc
-
-    def evaluate(x, lam):
-        return vc(np.zeros((n, n)), np.eye(n), -lam * np.eye(n), np.zeros((n, n)))
-
-    return CoefficientField(n=n, evaluate=evaluate, x_minus=-20, x_plus=20,
-                            farfield_minus=lambda lam: evaluate(-20, lam),
-                            farfield_plus=lambda lam: evaluate(20, lam),
-                            name=f"free{n}")
+def _blocks(a, b, c, d):
+    return SymplecticCoefficients(n=1, a=np.array([[a]]), b=np.array([[b]]),
+                                  c=np.array([[c]]), d=np.array([[d]]))
 
 
-def _field4():
-    return _free_field(4)
+class TestCoefficientField:
+    def test_exact_field_accepted(self):
+        field = _scalar_field(lambda x, lam: _blocks(0.0, 1.0, x - lam, -0.0))
+        assert field.n == 1
+
+    def test_structure_broken_at_a_sample_rejected(self):
+        # d = -a^T fails at x = 0.5, an interior sample of [-1, 1]
+        def evaluate(x, lam):
+            return _blocks(x, 1.0, -lam, -x if x != 0.5 else 0.0)
+
+        with pytest.raises(StructureError, match="sp"):
+            _scalar_field(evaluate)
+
+    def test_wrong_dimension_rejected(self):
+        with pytest.raises(StructureError, match="declared n"):
+            CoefficientField(n=2, evaluate=lambda x, lam: _blocks(0.0, 1.0, 1.0, 0.0),
+                             x_minus=-1.0, x_plus=1.0,
+                             farfield_minus=lambda lam: _blocks(0.0, 1.0, 1.0, 0.0),
+                             farfield_plus=lambda lam: _blocks(0.0, 1.0, 1.0, 0.0))
+
+    def test_farfield_mismatch_rejected(self):
+        exact = _scalar_field(lambda x, lam: _blocks(0.0, 1.0, 1.0, 0.0))
+        with pytest.raises(StructureError, match="far-field"):
+            CoefficientField(n=1, evaluate=exact.evaluate, x_minus=-1.0, x_plus=1.0,
+                             farfield_minus=lambda lam: _blocks(0.0, 1.0, 2.0, 0.0),
+                             farfield_plus=exact.farfield_plus)
+
+    def test_empty_window_rejected(self):
+        with pytest.raises(StructureError, match="x_minus < x_plus"):
+            _scalar_field(lambda x, lam: _blocks(0.0, 1.0, 1.0, 0.0), 1.0, 1.0)
 
 
 class TestTotalFrameRankLoss:

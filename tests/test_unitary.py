@@ -2,23 +2,17 @@ import numpy as np
 import pytest
 
 from maslovflow import (
-    ChartDomainError,
-    RotatedCoefficients,
-    SkewHermitian,
+    DEFAULT_TOLERANCES,
+    StructureError,
     SymmetricChart,
     ThetaTrace,
     UnitarySymmetric,
     cayley,
     chart_from_frame,
-    dexpinv,
-    emk_step,
     farfield_frame,
-    get_model,
     integrate_chart,
     integrate_unitary,
-    inverse_cayley,
     kdv7_field,
-    mat_exp,
     poschl_teller_field,
     riccati_rhs,
     rotated_coefficients,
@@ -26,11 +20,10 @@ from maslovflow import (
     theta_from_chart,
     unitary_from_frame,
     validate_coefficients,
-    xi_field,
 )
 from maslovflow.errors import StepSizeError
 from maslovflow.matrixkit import symmetrize
-from conftest import random_lagrangian_frame
+from conftest import constant_field, random_lagrangian_frame
 
 
 def _random_coeffs(rng, n):
@@ -42,6 +35,14 @@ def _random_coeffs(rng, n):
 
 def _random_chart(rng, n, scale=1.0):
     return SymmetricChart(scale * symmetrize(rng.standard_normal((n, n))))
+
+
+def _xi_at(coeffs, u, h=0.1):
+    """The field xi at u, read from the Lie-algebra step integrate_unitary
+    stores: one step of length h on a constant field takes sigma = h xi."""
+    path = integrate_unitary(constant_field(coeffs), 0.0, np.array([0.0, h]),
+                             UnitarySymmetric(u))
+    return path.sigmas[1] / h
 
 
 class TestCayley:
@@ -59,31 +60,6 @@ class TestCayley:
             expected = np.sort_complex((1 - 1j * mu) / (1 + 1j * mu))
             got = np.sort_complex(np.linalg.eigvals(cayley(s).mat))
             assert np.max(np.abs(np.sort(np.angle(got)) - np.sort(np.angle(expected)))) < 1e-10
-
-
-class TestInverseCayley:
-    def test_identity_maps_to_zero(self):
-        s = inverse_cayley(UnitarySymmetric(np.eye(3, dtype=complex)))
-        assert np.allclose(s.mat, 0.0)
-
-    def test_scalar_minus_i(self):
-        s = inverse_cayley(UnitarySymmetric(np.array([[-1j]])))
-        assert abs(s.mat[0, 0] - 1.0) < 1e-14
-
-    def test_round_trip_100_random(self, rng):
-        worst = 0.0
-        for _ in range(100):
-            n = int(rng.integers(1, 7))
-            s = _random_chart(rng, n, scale=1.5)
-            u = cayley(s)
-            back = inverse_cayley(u)
-            again = cayley(back)
-            worst = max(worst, float(np.max(np.abs(again.mat - u.mat))))
-        assert worst < 1e-10
-
-    def test_train_point_rejected(self):
-        with pytest.raises(ChartDomainError, match="train"):
-            inverse_cayley(UnitarySymmetric(np.diag([-1.0 + 0j, 1.0])))
 
 
 class TestUnitaryFromFrame:
@@ -141,13 +117,13 @@ class TestXiField:
         rot = rotated_coefficients(coeffs)
         assert np.max(np.abs(rot.C)) < 1e-15
         u = cayley(_random_chart(rng, 2)).mat
-        xi = xi_field(UnitarySymmetric(u), rot).mat
+        xi = _xi_at(coeffs, u)
         assert np.max(np.abs(xi - rot.D)) < 1e-12
 
     def test_u_identity_substitution(self, rng):
         coeffs = _random_coeffs(rng, 3)
         rot = rotated_coefficients(coeffs)
-        xi = xi_field(UnitarySymmetric(np.eye(3, dtype=complex)), rot).mat
+        xi = _xi_at(coeffs, np.eye(3, dtype=complex))
         expected = rot.D + 1j * np.imag(rot.C)
         assert np.max(np.abs(xi - expected)) < 1e-12
 
@@ -156,92 +132,34 @@ class TestXiField:
             coeffs = _random_coeffs(rng, 3)
             rot = rotated_coefficients(coeffs)
             u = cayley(_random_chart(rng, 3)).mat
-            xi = xi_field(UnitarySymmetric(u), rot).mat
+            xi = _xi_at(coeffs, u)
             lhs = xi @ u - u @ np.conj(xi)
             rhs = rot.C + rot.D @ u - u @ (np.conj(rot.D) + np.conj(rot.C) @ u)
             assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
-class TestDexpinv:
-    def test_zero_sigma_is_identity(self, rng):
-        n = 3
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        xi = SkewHermitian(0.5 * (a - a.conj().T))
-        sigma = SkewHermitian(np.zeros((n, n), dtype=complex))
-        for order in (0, 2, 8):
-            assert np.allclose(dexpinv(sigma, xi, order).mat, xi.mat)
-
-    def test_commuting_collapse(self):
-        sigma = SkewHermitian(np.diag([1j, 2j]))
-        xi = SkewHermitian(np.diag([0.5j, -0.7j]))
-        assert np.allclose(dexpinv(sigma, xi, 8).mat, xi.mat)
-
-    def test_order_two_matches_bracket_series(self, rng):
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        sigma = SkewHermitian(0.2 * (a - a.conj().T))
-        b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        xi = SkewHermitian(0.5 * (b - b.conj().T))
-        s, z = sigma.mat, xi.mat
-        ad1 = s @ z - z @ s
-        ad2 = s @ ad1 - ad1 @ s
-        expected = z - 0.5 * ad1 + ad2 / 12.0
-        assert np.max(np.abs(dexpinv(sigma, xi, 2).mat - expected)) < 1e-13
-
-    def test_exponential_derivative_oracle(self, rng):
-        # d/dt exp(sigma + t delta)|_0 = xi exp(sigma) when
-        # delta = dexpinv(sigma, xi); check with central differences
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        sigma = SkewHermitian(0.15 * (a - a.conj().T))
-        b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        xi = SkewHermitian(0.5 * (b - b.conj().T))
-        delta = dexpinv(sigma, xi, 8).mat
-        target = xi.mat @ mat_exp(sigma.mat)
-        errors = []
-        for h in (1e-2, 1e-3):
-            fd = (mat_exp(sigma.mat + h * delta) - mat_exp(sigma.mat - h * delta)) / (2 * h)
-            errors.append(float(np.max(np.abs(fd - target))))
-        slope = np.log10(errors[0] / errors[1])
-        assert slope > 1.8  # central-difference error is O(h^2)
-
-    def test_order_bound(self, rng):
-        sigma = SkewHermitian(np.zeros((2, 2), dtype=complex))
-        with pytest.raises(ValueError):
-            dexpinv(sigma, sigma, 9)
-
-
 class TestEmkStep:
-    def test_zero_field_fixed_point(self):
-        from maslovflow import CoefficientField
+    """The Lie-algebra Euler step, run through integrate_unitary."""
 
+    def test_zero_field_fixed_point(self):
         coeffs = validate_coefficients(*[np.zeros((2, 2))] * 4)
-        field = CoefficientField(n=2, evaluate=lambda x, lam: coeffs,
-                                 x_minus=-1, x_plus=1,
-                                 farfield_minus=lambda lam: coeffs,
-                                 farfield_plus=lambda lam: coeffs)
         u0 = UnitarySymmetric(np.eye(2, dtype=complex))
-        sigma, u1 = emk_step(u0, 0.0, 0.1, field, 0.0)
-        assert np.allclose(sigma.mat, 0.0)
-        assert np.allclose(u1.mat, u0.mat)
+        path = integrate_unitary(constant_field(coeffs), 0.0, np.array([0.0, 0.1]), u0)
+        assert np.allclose(path.sigmas[1], 0.0)
+        assert np.allclose(path.us[1], u0.mat)
 
     def test_commuting_diagonal_closed_form(self):
         # a = diag(w) with b = c = 0 gives C = 0, D = diag(w) real? use
         # b - c = 2w to get D = i diag(w): a = d = 0, b = w I, c = -w I
-        from maslovflow import CoefficientField
-
         w = 0.3
         coeffs = validate_coefficients(np.zeros((1, 1)), np.array([[w]]),
                                        np.array([[-w]]), np.zeros((1, 1)))
-        field = CoefficientField(n=1, evaluate=lambda x, lam: coeffs,
-                                 x_minus=0, x_plus=10,
-                                 farfield_minus=lambda lam: coeffs,
-                                 farfield_plus=lambda lam: coeffs)
-        u = UnitarySymmetric(np.eye(1, dtype=complex))
+        u0 = UnitarySymmetric(np.eye(1, dtype=complex))
         h = 0.01
-        for m in range(100):
-            _, u = emk_step(u, m * h, h, field, 0.0)
+        path = integrate_unitary(constant_field(coeffs), 0.0, h * np.arange(101), u0)
         # each step multiplies by exp(2 i w h)
         expected = np.exp(2j * w * h * 100)
-        assert abs(u.mat[0, 0] - expected) < 1e-12
+        assert abs(path.us[-1, 0, 0] - expected) < 1e-12
 
     def test_one_step_refinement_order(self):
         field = kdv7_field()
@@ -250,25 +168,17 @@ class TestEmkStep:
         u0 = unitary_from_frame(frame)
         errors = []
         for h in (0.08, 0.04, 0.02):
-            _, u_one = emk_step(u0, 0.0, h, field, lam)
-            u_ref = u0
-            nsub = 100
-            for k in range(nsub):
-                _, u_ref = emk_step(u_ref, k * h / nsub, h / nsub, field, lam)
-            errors.append(float(np.max(np.abs(u_one.mat - u_ref.mat))))
+            u_one = integrate_unitary(field, lam, np.array([0.0, h]), u0).us[-1]
+            u_ref = integrate_unitary(field, lam, np.linspace(0.0, h, 101), u0).us[-1]
+            errors.append(float(np.max(np.abs(u_one - u_ref))))
         slopes = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
         assert np.all(slopes > 0.8)  # observed order ~ 1
 
 
 class TestIntegrateUnitary:
     def test_zero_field_constant_theta(self):
-        from maslovflow import CoefficientField
-
         coeffs = validate_coefficients(*[np.zeros((2, 2))] * 4)
-        field = CoefficientField(n=2, evaluate=lambda x, lam: coeffs,
-                                 x_minus=0, x_plus=1,
-                                 farfield_minus=lambda lam: coeffs,
-                                 farfield_plus=lambda lam: coeffs)
+        field = constant_field(coeffs)
         u0 = UnitarySymmetric(np.eye(2, dtype=complex))
         path = integrate_unitary(field, 0.0, np.linspace(0, 1, 51), u0)
         assert np.allclose(path.theta_trace.theta, 0.0)
@@ -296,11 +206,18 @@ class TestIntegrateUnitary:
         h = grid[1] - grid[0]
         u0 = unitary_from_frame(farfield_frame(field.farfield_minus(lam), "unstable"))
         path = integrate_unitary(field, lam, grid, u0)
-        worst = 0.0
-        for m in range(0, 4000, 97):
-            sigma, _ = emk_step(UnitarySymmetric(path.us[m]), grid[m], h, field, lam)
-            worst = max(worst, float(np.max(np.abs(sigma.mat))))
-        assert worst < 10.0 * h
+        assert float(np.max(np.abs(path.sigmas))) < 10.0 * h
+        # the stored steps are what theta accumulated
+        dtheta = 2.0 * np.imag(np.trace(path.sigmas, axis1=1, axis2=2))
+        assert np.max(np.abs(np.diff(path.theta_trace.theta) - dtheta[1:])) < 1e-12
+
+    def test_structure_gate_raises_above_unitary_type(self):
+        field = kdv7_field()
+        u0 = unitary_from_frame(farfield_frame(field.farfield_minus(0.15), "unstable"))
+        tight = DEFAULT_TOLERANCES.with_overrides(unitary_type=1e-17)
+        with pytest.raises(StructureError, match="unitary symmetric"):
+            integrate_unitary(field, 0.15, np.linspace(-20, 20, 401), u0, tol=tight)
+        integrate_unitary(field, 0.15, np.linspace(-20, 20, 401), u0)
 
     def test_drift_and_circle_consistency(self):
         field = kdv7_field()
