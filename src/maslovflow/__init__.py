@@ -51,7 +51,6 @@ from .riccati import (
     EigenTrace,
     SymmetricChart,
     integrate_chart,
-    riccati_rhs,
     singular_eigenvalue_count,
     singular_threshold,
 )

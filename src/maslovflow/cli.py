@@ -5,8 +5,8 @@ JSON file, MASLOVFLOW_* environment variables, explicit flags.  All floats
 are written with 17 significant digits so identical runs produce
 byte-identical files.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure or
-backend disagreement, 4 model error.
+Exit codes: 0 success, 2 configuration error, 3 backend disagreement,
+4 model error, 5 numerical failure.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, MaslovError, ModelError
+from .errors import BackendDisagreementError, ConfigError, MaslovError, ModelError
 from .maslov import BACKENDS, refine_eigenvalue, run_trace, sweep_lambda
 from .models import ModelSpec, get_model
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -28,8 +28,9 @@ from .unitary import cayley
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_NUMERICAL = 3
+EXIT_DISAGREE = 3
 EXIT_MODEL = 4
+EXIT_NUMERICAL = 5
 
 ENV_PREFIX = "MASLOVFLOW_"
 
@@ -327,7 +328,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
         print(f"{n_errors} row(s) failed numerically; reasons in {json_path}", file=sys.stderr)
     if table.has_disagreement():
         print("backend disagreement detected", file=sys.stderr)
-    return EXIT_NUMERICAL if n_errors or table.has_disagreement() else EXIT_OK
+        return EXIT_DISAGREE
+    return EXIT_NUMERICAL if n_errors else EXIT_OK
 
 
 def cmd_refine(cfg: RunConfig) -> int:
@@ -409,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "selftest":
             p.add_argument("--corrupt", type=str, default=None,
                            choices=SELFTEST_PROPERTIES, metavar="PROPERTY",
-                           help="test hook: tighten one property's bound to force failure")
+                           help="test hook: set one property's bound to 0 to force its failure")
     return parser
 
 
@@ -433,6 +435,9 @@ def main(argv: list[str] | None = None) -> int:
     except ModelError as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return EXIT_MODEL
+    except BackendDisagreementError as exc:
+        print(f"backend disagreement: {exc}", file=sys.stderr)
+        return EXIT_DISAGREE
     except MaslovError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

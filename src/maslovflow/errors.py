@@ -23,6 +23,11 @@ class StepSizeError(MaslovError):
     """Grid step too large for unambiguous phase tracking / theta unwinding."""
 
 
+class BackendDisagreementError(MaslovError):
+    """The chart and unitary routes counted different crossings (CLI exit
+    code 3)."""
+
+
 class ConfigError(MaslovError):
     """Invalid run configuration (CLI exit code 2)."""
 

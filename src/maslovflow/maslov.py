@@ -15,7 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChartDomainError, ConfigError, HyperbolicityError, MaslovError, StepSizeError, StructureError
+from .errors import (
+    BackendDisagreementError,
+    ChartDomainError,
+    ConfigError,
+    HyperbolicityError,
+    StepSizeError,
+    StructureError,
+)
 from .models import ModelSpec, get_model
 from .riccati import ChartPath, SymmetricChart, integrate_chart
 from .system import CoefficientField, LagrangianFrame, chart_from_frame, farfield_frame
@@ -394,7 +401,8 @@ def run_trace(
     field and fails unless both far fields are hyperbolic; "identity" starts
     from the horizontal plane u0 = I; "auto" tries the far field and falls
     back to the identity plane, recording the fallback in ``init_mode``.
-    With ``backend="both"`` a chart/unitary count mismatch raises.
+    With ``backend="both"`` a chart/unitary count mismatch raises
+    ``BackendDisagreementError``.
     """
     if backend not in BACKENDS:
         raise ConfigError(f"backend must be one of {BACKENDS}, got {backend!r}")
@@ -403,7 +411,7 @@ def run_trace(
     grid = np.asarray(grid, dtype=float)
     trace = _run_row(field, lam, grid, backend, _far_field_ends(field, lam, init, tol), tol)
     if backend == "both" and trace.count_chart != trace.count_unitary:
-        raise MaslovError(
+        raise BackendDisagreementError(
             f"backend disagreement at lambda={lam}: chart counts {trace.count_chart}, "
             f"unitary counts {trace.count_unitary}")
     return trace

@@ -98,11 +98,13 @@ _PADE_B = {
 _THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
           7: 9.504178996162932e-1, 9: 2.097847961257068e0,
           13: 5.371920351148152e0}
+_DEGREES = (3, 5, 7, 9, 13)
+_THETA_BOUNDS = np.array([_THETA[d] for d in _DEGREES[:-1]])
 
 
 def _pade_factors(a: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
     b = _PADE_B[degree]
-    n = a.shape[0]
+    n = a.shape[-1]
     eye = np.eye(n, dtype=a.dtype)
     a2 = a @ a
     if degree == 3:
@@ -135,29 +137,43 @@ def _pade_factors(a: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
 def mat_exp(m: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling-and-squaring with diagonal Pade.
 
-    The Pade degree is chosen from the 1-norm against the standard
-    backward-error bound table (degrees 3/5/7/9/13); larger norms are scaled
-    by 2^-s with s from ``||m||_1 / theta_13`` and squared back.
+    ``m`` is one square matrix or a stack of them, shape ``(..., k, k)``.
+    Each matrix gets its own Pade degree from its 1-norm against the
+    standard backward-error bound table (degrees 3/5/7/9/13); larger norms
+    are scaled by 2^-s with s from ``||m||_1 / theta_13`` and squared back.
+    Every matrix of a stack comes out bit for bit as it would alone.
     """
     m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise StructureError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise StructureError(f"expected square matrices, got shape {m.shape}")
+    if not np.isfinite(m).all():
         raise StructureError("matrix has non-finite entries")
     dtype = complex if np.iscomplexobj(m) else float
     a = m.astype(dtype, copy=True)
-    norm = float(np.linalg.norm(a, 1)) if a.size else 0.0
-    for degree in (3, 5, 7, 9):
-        if norm <= _THETA[degree]:
-            u, v = _pade_factors(a, degree)
-            return np.linalg.solve(v - u, v + u)
-    squarings = max(0, int(np.ceil(np.log2(norm / _THETA[13]))))
-    a = a / (2.0 ** squarings)
-    u, v = _pade_factors(a, 13)
-    r = np.linalg.solve(v - u, v + u)
-    for _ in range(squarings):
-        r = r @ r
-    return r
+    if a.size == 0:
+        return a
+    k = a.shape[-1]
+    a = a.reshape(-1, k, k)
+    # the 1-norm as np.linalg.norm(., 1) computes it: largest column sum
+    norms = np.abs(a).sum(-2).max(-1)
+    branch = np.searchsorted(_THETA_BOUNDS, norms)  # first bound >= norm
+    r = np.empty_like(a)
+    indices = np.unique(branch) if branch.size > 1 else branch
+    for index in indices:
+        sel = slice(None) if indices.size == 1 else branch == index
+        degree = _DEGREES[index]
+        if degree < 13:
+            u, v = _pade_factors(a[sel], degree)
+            r[sel] = np.linalg.solve(v - u, v + u)
+            continue
+        squarings = np.maximum(0, np.ceil(np.log2(norms[sel] / _THETA[13]))).astype(int)
+        u, v = _pade_factors(a[sel] / (2.0 ** squarings)[:, None, None], 13)
+        r13 = np.linalg.solve(v - u, v + u)
+        for level in range(1, int(squarings.max()) + 1):
+            more = squarings >= level
+            r13[more] = r13[more] @ r13[more]
+        r[sel] = r13
+    return r.reshape(m.shape)
 
 
 def sym_arctan(s: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:

@@ -44,6 +44,12 @@ _SIGMA7 = Fraction(2159, 10000)
 _AMP = Fraction(1039500, 2159 ** 2)
 _WIDTH_SQ = Fraction(25, 2159)
 
+# Declared far-field tolerance of the kdv7 field: the largest gap allowed
+# between the wave at the window ends and its limit 0.  The default window
+# [-20, 20] leaves a tail of 6.5e-4; a window narrow enough to change counts
+# (a tail of 1.9e-2 at [-12, 12]) is rejected when the field is built.
+_KDV7_FARFIELD_TOL = 1e-3
+
 
 @dataclass(frozen=True)
 class Kdv7Params:
@@ -64,34 +70,47 @@ def _sech(z: np.ndarray | float) -> np.ndarray | float:
 
 
 def kdv7_wave(x: np.ndarray | float, params: Kdv7Params = Kdv7Params()):
-    """Solitary-wave profile U(x) = amp (sech^6(kx) + sech^4(kx))."""
-    s = _sech(params.width * np.asarray(x, dtype=float))
-    return params.amp * (s ** 6 + s ** 4)
+    """Solitary-wave profile U(x) = amp (sech^6(kx) + sech^4(kx)).
+
+    The powers are taken one element at a time with the C library's pow,
+    which numpy also uses for a scalar; its vectorized power can differ in
+    the last bit, and the wave at an array of x must equal the wave at each
+    x exactly.
+    """
+    s = np.asarray(_sech(params.width * np.asarray(x, dtype=float))).astype(object)
+    s6 = np.asarray(s ** 6, dtype=float)
+    s4 = np.asarray(s ** 4, dtype=float)
+    return params.amp * (s6 + s4)
 
 
-def _kdv7_blocks(lam: float, u: float, params: Kdv7Params) -> SymplecticCoefficients:
-    """Exact sp(R^6) blocks with wave value ``u``: a = 0, d = -a^T, and b, c
-    exactly symmetric."""
+def _kdv7_blocks(lam: float, u: np.ndarray | float, params: Kdv7Params) -> SymplecticCoefficients:
+    """Exact sp(R^6) blocks with wave value(s) ``u``: a = 0, d = -a^T, and b, c
+    exactly symmetric.  An array ``u`` of shape (N,) gives c of shape
+    (N, 3, 3); the other blocks do not depend on x and stay (3, 3)."""
+    u = np.asarray(u, dtype=float)
     a = np.zeros((3, 3))
     b = np.array([[0.0, -1.0, 0.0],
                   [-1.0, -1.0, 0.0],
                   [0.0, 0.0, 1.0 / params.sigma7]])
-    c = np.array([[-lam + params.c_wave - u, 0.0, 0.0],
-                  [0.0, 0.0, -1.0],
-                  [0.0, -1.0, 1.0]])
+    c = np.zeros(u.shape + (3, 3))
+    c[..., 0, 0] = -lam + params.c_wave - u
+    c[..., 1, 2] = c[..., 2, 1] = -1.0
+    c[..., 2, 2] = 1.0
     return SymplecticCoefficients(n=3, a=a, b=b, c=c, d=-a.T)
 
 
 def kdv7_coefficients(
-    x: float,
+    x: np.ndarray | float,
     lam: float,
     params: Kdv7Params = Kdv7Params(),
 ) -> SymplecticCoefficients:
     """Coefficient matrix of the first-order system at (x, lambda), n = 3.
 
     Only the (4,1) entry, -lambda + c_wave - U(x), depends on x or lambda.
+    A 1-d array of x gives that entry for every x at once: c has shape
+    (N, 3, 3), the other blocks (3, 3).
     """
-    return _kdv7_blocks(lam, float(kdv7_wave(x, params)), params)
+    return _kdv7_blocks(lam, kdv7_wave(x, params), params)
 
 
 def kdv7_field(
@@ -101,12 +120,12 @@ def kdv7_field(
 ) -> CoefficientField:
     """The kdv7 coefficient field on [x_minus, x_plus].
 
-    The far-field limits drop the wave profile; the declared far-field
-    tolerance reflects the profile tail at the truncation points.
+    The far-field limits drop the wave profile.  The window ends must come
+    within 1e-3 of them, so a window that cuts off too much of the wave
+    raises ``StructureError`` instead of miscounting.
     """
-    tail = float(max(kdv7_wave(x_minus, params), kdv7_wave(x_plus, params)))
 
-    def evaluate(x: float, lam: float) -> SymplecticCoefficients:
+    def evaluate(x: np.ndarray | float, lam: float) -> SymplecticCoefficients:
         return kdv7_coefficients(x, lam, params)
 
     def limit(lam: float) -> SymplecticCoefficients:
@@ -114,17 +133,18 @@ def kdv7_field(
 
     return CoefficientField(n=3, evaluate=evaluate, x_minus=x_minus, x_plus=x_plus,
                             farfield_minus=limit, farfield_plus=limit,
-                            farfield_tol=2.0 * tail + 1e-12, name="kdv7")
+                            farfield_tol=_KDV7_FARFIELD_TOL, name="kdv7")
 
 
 @dataclass(frozen=True)
 class SturmLiouvilleParams:
     """Scalar Schroedinger problem -u'' + V(x) u = lambda u.
 
+    ``potential`` takes a float or a 1-d array of x, elementwise.
     ``eigenvalues`` holds the closed-form point spectrum when known.
     """
 
-    potential: Callable[[float], float]
+    potential: Callable[[np.ndarray | float], np.ndarray | float]
     lambda_range: tuple[float, float]
     eigenvalues: tuple[float, ...] = ()
 
@@ -139,11 +159,12 @@ def sturm_liouville_field(
     """First-order reduction q = u, p = u': a = 0, b = 1, c = V - lambda, d = 0."""
     pot = params.potential
 
-    def blocks(c: float) -> SymplecticCoefficients:
+    def blocks(c: np.ndarray | float) -> SymplecticCoefficients:
         a = np.zeros((1, 1))
-        return SymplecticCoefficients(n=1, a=a, b=np.ones((1, 1)), c=np.array([[c]]), d=-a.T)
+        c_block = np.asarray(c, dtype=float)[..., None, None]
+        return SymplecticCoefficients(n=1, a=a, b=np.ones((1, 1)), c=c_block, d=-a.T)
 
-    def evaluate(x: float, lam: float) -> SymplecticCoefficients:
+    def evaluate(x: np.ndarray | float, lam: float) -> SymplecticCoefficients:
         return blocks(pot(x) - lam)
 
     def limit_at(x_end: float):
@@ -169,8 +190,8 @@ def poschl_teller_field(
     if m not in (1, 2, 3):
         raise ModelError(f"poschl_teller expects m in {{1, 2, 3}}, got {m}")
 
-    def potential(x: float) -> float:
-        sech = float(_sech(x))
+    def potential(x: np.ndarray | float) -> np.ndarray | float:
+        sech = _sech(x)
         return -m * (m + 1) * sech * sech
 
     params = SturmLiouvilleParams(potential=potential,

@@ -15,14 +15,17 @@ import numpy as np
 
 from .errors import StructureError
 from .matrixkit import mat_exp, symmetrize
-from .system import CoefficientField, SymplecticCoefficients
+from .system import CoefficientField
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
+
+# Steps whose state-independent work (field evaluation, propagators) is done
+# together; bounded so the stacks stay small on any grid.
+BLOCK_STEPS = 256
 
 __all__ = [
     "SymmetricChart",
     "EigenTrace",
     "ChartPath",
-    "riccati_rhs",
     "integrate_chart",
     "singular_eigenvalue_count",
     "singular_threshold",
@@ -84,23 +87,6 @@ class ChartPath:
         return SymmetricChart(self.charts[i])
 
 
-def riccati_rhs(
-    s: SymmetricChart,
-    coeffs: SymplecticCoefficients,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> np.ndarray:
-    """Right-hand side c + d s - s (a + b s), exactly symmetrized."""
-    m = s.mat
-    if coeffs.n != s.n:
-        raise StructureError("chart and coefficient dimensions disagree")
-    rhs = coeffs.c + coeffs.d @ m - m @ (coeffs.a + coeffs.b @ m)
-    scale = max(1.0, float(np.max(np.abs(rhs))))
-    defect = float(np.max(np.abs(rhs - rhs.T)))
-    if defect > tol.block_structure * scale:
-        raise StructureError(f"Riccati RHS asymmetric by {defect:.3e}; input not in sp(R^2n)?")
-    return symmetrize(rhs)
-
-
 def _mobius_apply(s: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, float, float]:
     """Apply the Moebius action; returns (new s, effective denominator
     condition, pre-symmetrization defect).
@@ -141,10 +127,12 @@ def singular_eigenvalue_count(
     return int(np.sum(np.abs(mu) > singular_threshold(chart_tol)))
 
 
-def _propagator(field: CoefficientField, x_lo: float, x_hi: float, lam: float) -> np.ndarray:
+def _propagators(field: CoefficientField, x_lo: np.ndarray, x_hi: np.ndarray,
+                 lam: float) -> np.ndarray:
+    """Midpoint-frozen propagators exp(h A(x_lo + h/2)), h = x_hi - x_lo, of
+    a run of steps, stacked (steps, 2n, 2n)."""
     h = x_hi - x_lo
-    a_mid = field.evaluate(x_lo + 0.5 * h, lam)
-    return mat_exp(h * a_mid.full())
+    return mat_exp(h[:, None, None] * field.full_stack(x_lo + 0.5 * h, lam))
 
 
 def integrate_chart(
@@ -157,10 +145,13 @@ def integrate_chart(
     """Integrate the chart flow over ``grid`` with midpoint-frozen
     exponential propagators applied through the Moebius action.
 
-    The integration proceeds through chart singularities; samples where the
-    Moebius denominator condition exceeds ``1 / chart_tol`` are flagged.  If
-    a denominator is exactly singular the step is retried as two half steps
-    (the singular set is isolated) and the sample flagged.
+    The propagators, which do not depend on the chart, are built
+    ``BLOCK_STEPS`` steps at a time; the step loop only solves for the next
+    chart.  The integration proceeds through chart singularities; samples
+    where the Moebius denominator condition exceeds ``1 / chart_tol`` are
+    flagged.  If a denominator is exactly singular (the solve fails) the
+    step is retried as two half steps (the singular set is isolated) and
+    the sample flagged.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
@@ -172,31 +163,50 @@ def integrate_chart(
         raise StructureError("initial chart dimension disagrees with field")
 
     n = field.n
-    nsamp = grid.size
-    charts = np.empty((nsamp, n, n))
+    nsteps = grid.size - 1
+    charts = np.empty((nsteps + 1, n, n))
     charts[0] = s0.mat
-    flagged: list[int] = []
-    cond_gate = 1.0 / tol.chart_tol
-    max_defect = 0.0
+    dens = np.empty((nsteps, n, n))
+    unsymmetrized = np.empty((nsteps, n, n))
+    top_norms = np.empty(nsteps)
+    halved: dict[int, tuple[float, float]] = {}  # step -> (condition, defect)
     s = s0.mat
-    for m in range(nsamp - 1):
-        phi = _propagator(field, grid[m], grid[m + 1], lam)
-        try:
-            s, cond, defect = _mobius_apply(s, phi)
-        except np.linalg.LinAlgError:
-            # exactly singular sample: take one-sided substeps around it
-            x_mid = 0.5 * (grid[m] + grid[m + 1])
-            s_half, c1, d1 = _mobius_apply(s, _propagator(field, grid[m], x_mid, lam))
-            s, c2, d2 = _mobius_apply(s_half, _propagator(field, x_mid, grid[m + 1], lam))
-            cond, defect = max(c1, c2), max(d1, d2)
-            flagged.append(m + 1)
-        if cond > cond_gate and (not flagged or flagged[-1] != m + 1):
-            flagged.append(m + 1)
-        max_defect = max(max_defect, defect)
-        charts[m + 1] = s
+    for lo in range(0, nsteps, BLOCK_STEPS):
+        hi = min(lo + BLOCK_STEPS, nsteps)
+        phis = _propagators(field, grid[lo:hi], grid[lo + 1:hi + 1], lam)
+        top_norms[lo:hi] = np.linalg.svd(phis[:, :n, :], compute_uv=False).max(-1)
+        for m, phi in enumerate(phis, start=lo):
+            num = phi[n:, :n] + phi[n:, n:] @ s
+            den = phi[:n, :n] + phi[:n, n:] @ s
+            try:
+                s_new = np.linalg.solve(den.T, num.T).T
+            except np.linalg.LinAlgError:
+                # exactly singular sample: take one-sided substeps around it
+                x_mid = 0.5 * (grid[m] + grid[m + 1])
+                halves = _propagators(field, np.array([grid[m], x_mid]),
+                                      np.array([x_mid, grid[m + 1]]), lam)
+                s_half, c1, d1 = _mobius_apply(s, halves[0])
+                s_new, c2, d2 = _mobius_apply(s_half, halves[1])
+                halved[m] = (max(c1, c2), max(d1, d2))
+            dens[m] = den
+            unsymmetrized[m] = s_new
+            s = symmetrize(s_new)
+            charts[m + 1] = s
+
+    # the conditioning _mobius_apply measures, for all steps at once
+    sv_min = np.linalg.svd(dens, compute_uv=False)[:, -1]
+    scale = top_norms * np.maximum(1.0, np.linalg.svd(charts[:-1], compute_uv=False).max(-1))
+    with np.errstate(divide="ignore"):
+        cond = np.where(sv_min == 0.0, np.inf, scale / sv_min)
+    defects = np.abs(unsymmetrized - unsymmetrized.transpose(0, 2, 1)).max(axis=(1, 2))
+    for m, (c, d) in halved.items():
+        cond[m], defects[m] = c, d
+    flag = cond > 1.0 / tol.chart_tol
+    flag[list(halved)] = True
+    flagged = tuple(int(m) + 1 for m in np.flatnonzero(flag))
 
     mu = np.linalg.eigvalsh(charts)
     flags = np.abs(mu) > singular_threshold(tol.chart_tol)
     trace = EigenTrace(grid=grid, mu=mu, singular_flags=flags)
     return ChartPath(grid=grid, charts=charts, eigen_trace=trace,
-                     flagged_samples=tuple(flagged), max_symmetry_defect=max_defect)
+                     flagged_samples=flagged, max_symmetry_defect=float(defects.max()))

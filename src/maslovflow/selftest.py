@@ -1,9 +1,10 @@
 """Built-in invariant suite behind ``maslovflow selftest``.
 
 Each property is checked with an explicit numeric bound and reports its worst
-observed defect, so regressions show up as numbers rather than booleans.
-The ``corrupt`` hook tightens one property's bound by 1e6 to let tests verify
-that failures propagate to a nonzero exit code.
+observed defect, so regressions show up as numbers rather than booleans; a
+property passes when its worst defect is below its bound.  The ``corrupt``
+hook sets one property's bound to 0 to let tests verify that failures
+propagate to a nonzero exit code.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maslov import run_trace
+from .maslov import _far_field_ends, _run_row
 from .matrixkit import det_phase, sym_arctan, symmetrize
 from .models import get_model
 from .riccati import singular_eigenvalue_count
@@ -26,10 +27,14 @@ __all__ = ["PropertyReport", "planted_rank_loss_frame", "run_selftest", "SELFTES
 @dataclass(frozen=True)
 class PropertyReport:
     name: str
-    passed: bool
     max_defect: float
     bound: float
     detail: str = ""
+
+    @property
+    def passed(self) -> bool:
+        """The one pass rule of every property: worst defect below bound."""
+        return self.max_defect < self.bound
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -74,7 +79,7 @@ def _check_trace_formula(tol: Tolerances, bound: float, rng: np.random.Generator
         rhs = -2.0 * float(np.trace(sym_arctan(s_mat, tol)))
         defect = abs(_wrap(lhs - rhs))
         worst = max(worst, defect)
-    return PropertyReport("trace_formula", worst < bound, worst, bound,
+    return PropertyReport("trace_formula", worst, bound,
                           "arg det Cay(s) vs -2 tr arctan(s), 200 random s")
 
 
@@ -95,7 +100,7 @@ def _check_unitarity_drift(tol: Tolerances, bound: float) -> PropertyReport:
     path = integrate_unitary(field, 0.15, grid, unitary_from_frame(frame),
                              tol=tol, reproject=False)
     worst = max(path.max_unitarity_defect, path.max_symmetry_defect)
-    return PropertyReport("unitarity_drift", worst < bound, worst, bound,
+    return PropertyReport("unitarity_drift", worst, bound,
                           "kdv7 lambda=0.15, 1e4 steps, no re-projection")
 
 
@@ -113,7 +118,7 @@ def _check_theorem1(tol: Tolerances, bound: float, rng: np.random.Generator) -> 
         c_total = 2 * n - int(np.sum(sv > tol.rank_threshold * sv[0]))
         if not (c_sing == c_rank == c_total == k):
             failures += 1
-    return PropertyReport("theorem1_equivalence", failures == 0, float(failures), bound,
+    return PropertyReport("theorem1_equivalence", float(failures), bound,
                           "singular-eigenvalue vs rank-loss counts, 50 planted frames")
 
 
@@ -124,9 +129,11 @@ def _check_backend_agreement(tol: Tolerances, bound: float) -> PropertyReport:
         field = get_model(name)
         grid = np.linspace(field.x_minus, field.x_plus, 2001)
         for lam in lams:
-            trace = run_trace(field, lam, grid, backend="both", tol=tol)
+            # the core's two counts, compared here rather than raised on
+            ends = _far_field_ends(field, lam, "auto", tol)
+            trace = _run_row(field, lam, grid, "both", ends, tol)
             worst = max(worst, abs(trace.count_unitary - trace.count_chart))
-    return PropertyReport("backend_agreement", worst == 0, float(worst), bound,
+    return PropertyReport("backend_agreement", float(worst), bound,
                           "chart vs unitary crossing counts on both bundled models")
 
 
@@ -162,7 +169,7 @@ def _check_route_agreement(tol: Tolerances, bound: float) -> PropertyReport:
         sel = slice(anchor, lim)
         diff = np.abs(path.theta_trace.theta[sel] - (base[sel] + offset))
         worst = max(worst, float(np.max(diff)))
-    return PropertyReport("route_agreement", worst < bound, worst, bound,
+    return PropertyReport("route_agreement", worst, bound,
                           "theta from -2 tr arctan(s) vs sigma accumulation, |mu| < 10 stretch")
 
 
@@ -193,7 +200,7 @@ def run_selftest(
         raise ValueError(f"unknown property {corrupt!r}; choose from {SELFTEST_PROPERTIES}")
     bounds = dict(_BOUNDS)
     if corrupt is not None:
-        bounds[corrupt] = bounds[corrupt] / 1e6
+        bounds[corrupt] = 0.0
     rng = np.random.default_rng(seed)
     reports = [
         _check_trace_formula(tol, bounds["trace_formula"], rng),

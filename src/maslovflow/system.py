@@ -85,14 +85,18 @@ def validate_coefficients(
 class CoefficientField:
     """Coefficient matrix A(x, lambda) with constant far-field limits.
 
-    ``evaluate`` must be a pure function of (x, lambda).  ``farfield_minus``
-    and ``farfield_plus`` give the constant limits as functions of lambda;
-    ``evaluate(x_minus, lam)`` agrees with ``farfield_minus(lam)`` within
-    ``farfield_tol`` (and likewise at the right end).
+    ``evaluate`` must be a pure function of (x, lambda).  It takes a scalar
+    x, giving (n, n) blocks, or a 1-d array of N values of x, giving blocks
+    with a leading grid axis, (N, n, n); a block that does not depend on x
+    may keep shape (n, n) and is broadcast (see :meth:`full_stack`).
+    ``farfield_minus`` and ``farfield_plus`` give the constant limits as
+    functions of lambda; ``evaluate(x_minus, lam)`` agrees with
+    ``farfield_minus(lam)`` within ``farfield_tol`` (and likewise at the
+    right end).
     """
 
     n: int
-    evaluate: Callable[[float, float], SymplecticCoefficients]
+    evaluate: Callable[[float | np.ndarray, float], SymplecticCoefficients]
     x_minus: float
     x_plus: float
     farfield_minus: Callable[[float], SymplecticCoefficients]
@@ -117,6 +121,29 @@ class CoefficientField:
         if defect > self.farfield_tol:
             raise StructureError(f"field {self.name!r}: window ends differ from the far-field "
                                  f"limits by {defect:.3e} > {self.farfield_tol:.3e}")
+
+    def full_stack(self, x: np.ndarray, lam: float) -> np.ndarray:
+        """The 2n x 2n coefficient matrices at every point of a 1-d ``x``,
+        shape (N, 2n, 2n), from one call of ``evaluate``.
+
+        Each block must come back as (N, n, n), or as (n, n) when it does not
+        depend on x; any other shape raises ``StructureError``.
+        """
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 1:
+            raise StructureError(f"expected a 1-d array of x, got shape {x.shape}")
+        n, count = self.n, x.size
+        coeffs = self.evaluate(x, lam)
+        out = np.empty((count, 2 * n, 2 * n))
+        top, bottom = slice(None, n), slice(n, None)
+        for name, rows, cols in (("a", top, top), ("b", top, bottom),
+                                 ("c", bottom, top), ("d", bottom, bottom)):
+            block = np.asarray(getattr(coeffs, name))
+            if block.shape not in ((n, n), (count, n, n)):
+                raise StructureError(f"field {self.name!r}: block {name} has shape {block.shape} "
+                                     f"at {count} points, expected {(count, n, n)} or {(n, n)}")
+            out[:, rows, cols] = block
+        return out
 
     def farfield_defect(self, lam: float) -> float:
         """Largest entrywise gap between the truncated ends and the limits."""

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import StepSizeError, StructureError
 from .matrixkit import det_phase, mat_exp, sym_eig
-from .riccati import ChartPath, SymmetricChart
+from .riccati import BLOCK_STEPS, ChartPath, SymmetricChart
 from .system import CoefficientField, LagrangianFrame, SymplecticCoefficients
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -158,13 +158,14 @@ def integrate_unitary(
     Each step takes sigma = h xi(x_m, u_m) with the skew-Hermitian field
     xi = D - (u C* - C u^dag)/2, which satisfies xi u - u xi* = C + D u -
     u (D* + C* u) on unitary symmetric u, and then u -> exp(sigma) u
-    exp(sigma)^T.  The unitarity and symmetry defects of every raw product
-    are measured: above ``tol.unitary_type`` they raise ``StructureError``;
-    above ``tol.reproject_defect`` the sample is re-projected (polar factor,
-    then symmetric averaging) when ``reproject`` is set.  Theta starts at the
-    principal value of -i log det u0; the sampled path satisfies
-    exp(i theta_m) = det u_m up to roundoff, and the worst circle defect is
-    recorded and gated.
+    exp(sigma)^T.  C and D, which do not depend on u, are computed
+    ``BLOCK_STEPS`` steps at a time.  The unitarity and symmetry defects of
+    every raw product are measured: above ``tol.unitary_type`` they raise
+    ``StructureError``; above ``tol.reproject_defect`` the sample is
+    re-projected (polar factor, then symmetric averaging) when ``reproject``
+    is set.  Theta starts at the principal value of -i log det u0; the
+    sampled path satisfies exp(i theta_m) = det u_m up to roundoff, and the
+    worst circle defect is recorded and gated.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
@@ -172,40 +173,44 @@ def integrate_unitary(
     if u0.n != field.n:
         raise StructureError("initial u dimension disagrees with field")
 
-    nsamp = grid.size
+    nsteps = grid.size - 1
     n = field.n
-    us = np.empty((nsamp, n, n), dtype=complex)
-    sigmas = np.zeros((nsamp, n, n), dtype=complex)
-    theta = np.empty(nsamp)
+    us = np.empty((nsteps + 1, n, n), dtype=complex)
+    sigmas = np.zeros((nsteps + 1, n, n), dtype=complex)
     us[0] = u0.mat
-    theta[0] = det_phase(u0.mat, tol)
     eye = np.eye(n)
     max_u_defect = 0.0
     max_s_defect = 0.0
     reprojected = 0
     u = u0.mat
-    for m in range(nsamp - 1):
-        h = grid[m + 1] - grid[m]
-        rot = rotated_coefficients(field.evaluate(grid[m], lam))
-        xi = rot.D - 0.5 * (u @ np.conj(rot.C) - rot.C @ u.conj().T)
-        sigma = h * (0.5 * (xi - xi.conj().T))
-        e = mat_exp(sigma)
-        u_next = e @ u @ e.T
-        u_defect = float(np.max(np.abs(u_next @ u_next.conj().T - eye)))
-        s_defect = float(np.max(np.abs(u_next - u_next.T)))
-        if u_defect > tol.unitary_type or s_defect > tol.unitary_type:
-            raise StructureError(f"step {m} left the unitary symmetric matrices: "
-                                 f"unitarity {u_defect:.3e}, symmetry {s_defect:.3e}")
-        max_u_defect = max(max_u_defect, u_defect)
-        max_s_defect = max(max_s_defect, s_defect)
-        if reproject and max(u_defect, s_defect) > tol.reproject_defect:
-            u_next = _polar_symmetric_project(u_next)
-            reprojected += 1
-        theta[m + 1] = theta[m] + 2.0 * float(np.imag(np.trace(sigma)))
-        sigmas[m + 1] = sigma
-        us[m + 1] = u_next
-        u = u_next
+    steps = np.diff(grid)
+    for lo in range(0, nsteps, BLOCK_STEPS):
+        hi = min(lo + BLOCK_STEPS, nsteps)
+        full = field.full_stack(grid[lo:hi], lam)
+        rot = rotated_coefficients(SymplecticCoefficients(
+            n=n, a=full[:, :n, :n], b=full[:, :n, n:], c=full[:, n:, :n], d=full[:, n:, n:]))
+        for m, c_rot, c_conj, d_rot in zip(range(lo, hi), rot.C, np.conj(rot.C), rot.D):
+            xi = d_rot - 0.5 * (u @ c_conj - c_rot @ u.conj().T)
+            sigma = steps[m] * (0.5 * (xi - xi.conj().T))
+            e = mat_exp(sigma)
+            u_next = e @ u @ e.T
+            u_defect = float(np.abs(u_next @ u_next.conj().T - eye).max())
+            s_defect = float(np.abs(u_next - u_next.T).max())
+            if u_defect > tol.unitary_type or s_defect > tol.unitary_type:
+                raise StructureError(f"step {m} left the unitary symmetric matrices: "
+                                     f"unitarity {u_defect:.3e}, symmetry {s_defect:.3e}")
+            max_u_defect = max(max_u_defect, u_defect)
+            max_s_defect = max(max_s_defect, s_defect)
+            if reproject and max(u_defect, s_defect) > tol.reproject_defect:
+                u_next = _polar_symmetric_project(u_next)
+                reprojected += 1
+            sigmas[m + 1] = sigma
+            us[m + 1] = u_next
+            u = u_next
 
+    # theta_{m+1} = theta_m - 2i tr(sigma_{m+1}), summed in step order
+    increments = 2.0 * np.trace(sigmas[1:], axis1=1, axis2=2).imag
+    theta = np.cumsum(np.concatenate([[det_phase(u0.mat, tol)], increments]))
     circle = float(np.max(np.abs(np.exp(1j * theta) - np.linalg.det(us))))
     if circle > tol.circle_consistency:
         raise StructureError(

@@ -2,13 +2,23 @@
 
 Everything here deliberately avoids the package's own numerics: the shooting
 oracle integrates the scalar ODE with scipy's adaptive RK, ranks come from
-plain SVD, and the 2x2 eigenvalues from the quadratic formula.
+plain SVD, the 2x2 eigenvalues from the quadratic formula, and the chart
+Riccati right-hand side is the formula itself.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.integrate import solve_ivp
+
+
+def riccati_rhs(s, coeffs) -> np.ndarray:
+    """Right-hand side c + d s - s (a + b s) of the chart Riccati equation at
+    the chart ``s`` (a SymmetricChart), exactly symmetrized; the derivative
+    the Moebius step must reproduce."""
+    m = s.mat
+    rhs = coeffs.c + coeffs.d @ m - m @ (coeffs.a + coeffs.b @ m)
+    return 0.5 * (rhs + rhs.T)
 
 
 def eig2x2_quadratic(m: np.ndarray) -> np.ndarray:

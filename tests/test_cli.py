@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from maslovflow.cli import EXIT_CONFIG, EXIT_MODEL, EXIT_OK, main
+from maslovflow.cli import EXIT_CONFIG, EXIT_DISAGREE, EXIT_MODEL, EXIT_NUMERICAL, EXIT_OK, main
+from maslovflow.selftest import SELFTEST_PROPERTIES
 
 
 def _read(path):
@@ -61,6 +62,38 @@ class TestTrace:
         rows = [ln for ln in _read(out).splitlines() if not ln.startswith("#")][1:]
         assert rows[0].startswith("-30,") and rows[-1].startswith("30,")
         assert "# crossings: 2" in _read(out)
+
+    def test_window_cutting_the_kdv7_tail_rejected(self, tmp_path, capsys):
+        # at [-6, 6] the wave's tail is far above the declared tolerance:
+        # the field is refused instead of miscounting
+        rc = main(["trace", "--model", "kdv7", "--lambda", "0.13", "--backend", "unitary",
+                   "--x-range=-6:6", "--out", str(tmp_path / "narrow.csv")])
+        assert rc == EXIT_NUMERICAL
+        assert "far-field" in capsys.readouterr().err
+        assert not (tmp_path / "narrow.csv").exists()
+
+    def test_numerical_failure_exits_5(self, tmp_path, capsys):
+        rc = main(["trace", "--model", "poschl_teller:3", "--lambda", "-5", "--step", "0.5",
+                   "--backend", "unitary", "--out", str(tmp_path / "coarse.csv")])
+        assert rc == EXIT_NUMERICAL
+        assert "theta moved" in capsys.readouterr().err
+
+    def test_backend_disagreement_exits_3(self, tmp_path, monkeypatch, capsys):
+        import dataclasses
+
+        import maslovflow.maslov as maslov_mod
+
+        run_row = maslov_mod._run_row
+
+        def miscounting_row(*args, **kwargs):
+            trace = run_row(*args, **kwargs)
+            return dataclasses.replace(trace, count_chart=trace.count_chart + 1)
+
+        monkeypatch.setattr(maslov_mod, "_run_row", miscounting_row)
+        rc = main(["trace", "--model", "poschl_teller:2", "--lambda", "-2", "--step", "0.05",
+                   "--out", str(tmp_path / "d.csv")])
+        assert rc == EXIT_DISAGREE
+        assert "backend disagreement" in capsys.readouterr().err
 
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -133,7 +166,7 @@ class TestSweep:
         rc = main(["sweep", "--model", "poschl_teller:2", "--lambda-range=-2:-1",
                    "--lambda-count", "2", "--step", "0.1",
                    "--out", str(tmp_path / "d.csv")])
-        assert rc == 3
+        assert rc == EXIT_DISAGREE
         assert "disagree" in capsys.readouterr().err
 
 
@@ -141,7 +174,7 @@ class TestSweep:
         monkeypatch.chdir(tmp_path)
         rc = main(["sweep", "--model", "poschl_teller:3", "--lambda-range=-10:-0.5",
                    "--lambda-count", "4", "--step", "0.5"])
-        assert rc == 3
+        assert rc == EXIT_NUMERICAL
         assert "4 row(s) failed" in capsys.readouterr().err
         rows = [ln for ln in _read(tmp_path / "sweep_poschl_teller.csv").splitlines()
                 if not ln.startswith("#")][1:]
@@ -181,9 +214,11 @@ class TestSelftest:
         assert "max defect" in out
 
     def test_corrupted_tolerance_fails(self, capsys):
-        rc = main(["selftest", "--corrupt", "trace_formula"])
-        assert rc != 0
-        assert "FAIL" in capsys.readouterr().out
+        for prop in SELFTEST_PROPERTIES:
+            rc = main(["selftest", "--corrupt", prop])
+            assert rc != 0, prop
+            lines = capsys.readouterr().out.splitlines()
+            assert [ln.split()[1] for ln in lines if ln.startswith("FAIL")] == [prop + ":"]
 
 
 class TestConfigPrecedence:

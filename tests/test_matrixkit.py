@@ -81,6 +81,62 @@ class TestMatExp:
         assert np.max(np.abs(mat_exp(m) - scipy_expm(m))) < 1e-12 * np.max(np.abs(scipy_expm(m)))
 
 
+class TestMatExpStack:
+    """A stack of matrices goes through mat_exp at once; each matrix must come
+    out exactly as it does alone, with its own Pade degree and squarings."""
+
+    # 1-norms on every branch: degrees 3, 5, 7, 9, then degree 13 with 0, 1,
+    # 3 and 7 squarings
+    NORMS = (0.01, 0.2, 0.9, 2.0, 5.0, 9.0, 40.0, 600.0)
+
+    @staticmethod
+    def _with_norm(rng, k, norm, complex_entries):
+        m = rng.standard_normal((k, k))
+        if complex_entries:
+            m = m + 1j * rng.standard_normal((k, k))
+        return m * (norm / np.abs(m).sum(axis=0).max())
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_each_branch_bit_for_bit(self, rng, complex_entries):
+        for norm in self.NORMS:
+            for k in (1, 3, 6):
+                stack = np.array([self._with_norm(rng, k, norm, complex_entries)
+                                  for _ in range(7)])
+                alone = np.array([mat_exp(m) for m in stack])
+                assert np.array_equal(mat_exp(stack), alone), (norm, k)
+
+    def test_mixed_branches_in_one_stack(self, rng):
+        norms = rng.permutation(np.repeat(self.NORMS, 4))
+        stack = np.array([self._with_norm(rng, 4, norm, True) for norm in norms])
+        alone = np.array([mat_exp(m) for m in stack])
+        assert np.array_equal(mat_exp(stack), alone)
+
+    def test_norm_matches_linalg_one_norm(self, rng):
+        stack = rng.standard_normal((50, 5, 5))
+        ref = np.array([np.linalg.norm(m, 1) for m in stack])
+        assert np.array_equal(np.abs(stack).sum(-2).max(-1), ref)
+
+    def test_leading_axes_kept(self, rng):
+        stack = 0.3 * rng.standard_normal((2, 3, 4, 4))
+        out = mat_exp(stack)
+        assert out.shape == stack.shape
+        assert np.array_equal(out[1, 2], mat_exp(stack[1, 2]))
+
+    def test_non_finite_anywhere_raises(self, rng):
+        stack = 0.1 * rng.standard_normal((300, 3, 3))
+        for bad in (np.nan, np.inf):
+            broken = stack.copy()
+            broken[257, 2, 1] = bad
+            with pytest.raises(StructureError, match="non-finite"):
+                mat_exp(broken)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(StructureError):
+            mat_exp(np.zeros((4, 2, 3)))
+        with pytest.raises(StructureError):
+            mat_exp(np.zeros(3))
+
+
 class TestSymArctan:
     def test_zero(self):
         assert np.allclose(sym_arctan(np.zeros((3, 3))), 0.0)

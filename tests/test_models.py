@@ -5,6 +5,7 @@ from maslovflow import (
     HyperbolicityError,
     ModelError,
     ModelSpec,
+    StructureError,
     farfield_frame,
     get_model,
     kdv7_coefficients,
@@ -124,6 +125,15 @@ class TestKdv7Coefficients:
         assert np.max(np.abs(a_inf - a_far)) < 1e-300
         assert field.farfield_defect(0.1) <= field.farfield_tol
 
+    def test_declared_farfield_tolerance_is_fixed(self):
+        # the default window's tail (6.5e-4) passes; narrower windows whose
+        # truncation changes counts are refused when the field is built
+        assert kdv7_field().farfield_tol == 1e-3
+        assert kdv7_field(-30.0, 30.0).farfield_tol == 1e-3
+        for half_width in (12.0, 6.0):
+            with pytest.raises(StructureError, match="far-field"):
+                kdv7_field(-half_width, half_width)
+
     def test_hyperbolic_across_sweep_window(self):
         field = kdv7_field()
         for lam in np.linspace(-0.3, 0.15, 91):
@@ -162,6 +172,32 @@ class TestPoschlTeller:
     def test_invalid_m_rejected(self):
         with pytest.raises(ModelError):
             poschl_teller_field(5)
+
+
+class TestGridEvaluation:
+    """A model evaluated on an array of x must agree with its evaluation at
+    each x alone, the one the far-field checks use."""
+
+    @pytest.mark.parametrize("name, lam", [("kdv7", 0.07), ("kdv7", -0.25),
+                                           ("poschl_teller:2", -1.5),
+                                           ("poschl_teller:3", -7.0)])
+    def test_array_matches_scalar(self, rng, name, lam):
+        field = get_model(name)
+        x = np.concatenate([np.linspace(field.x_minus, field.x_plus, 801),
+                            rng.uniform(field.x_minus, field.x_plus, 200)])
+        scalar = np.array([field.evaluate(float(v), lam).full() for v in x])
+        np.testing.assert_array_max_ulp(field.full_stack(x, lam), scalar, maxulp=1)
+
+    def test_kdv7_only_c11_carries_the_grid_axis(self):
+        coeffs = kdv7_coefficients(np.linspace(-3.0, 3.0, 7), 0.1)
+        assert coeffs.c.shape == (7, 3, 3)
+        assert coeffs.a.shape == coeffs.b.shape == coeffs.d.shape == (3, 3)
+        assert np.all(coeffs.c[:, 1:, :] == coeffs.c[0, 1:, :])
+        assert np.all(coeffs.c[:, 0, 1:] == 0.0)
+
+    def test_kdv7_wave_array_equals_scalar_exactly(self, rng):
+        x = rng.uniform(-40.0, 40.0, 2000)
+        assert np.array_equal(kdv7_wave(x), np.array([kdv7_wave(float(v)) for v in x]))
 
 
 class TestModelSpec:

@@ -2,21 +2,28 @@ import numpy as np
 import pytest
 
 from maslovflow import (
+    DEFAULT_TOLERANCES,
     StructureError,
     SymmetricChart,
     chart_from_frame,
     farfield_frame,
+    get_model,
     integrate_chart,
     mat_exp,
     poschl_teller_field,
-    riccati_rhs,
     singular_eigenvalue_count,
     singular_threshold,
     validate_coefficients,
 )
+from maslovflow.riccati import BLOCK_STEPS, _mobius_apply
 from maslovflow.selftest import planted_rank_loss_frame
 from conftest import constant_field, random_lagrangian_frame
-from oracles import poschl_teller_potential, shooting_node_count, unstable_chart_fixed_point
+from oracles import (
+    poschl_teller_potential,
+    riccati_rhs,
+    shooting_node_count,
+    unstable_chart_fixed_point,
+)
 
 
 def _random_coeffs(rng, n):
@@ -203,6 +210,50 @@ class TestIntegrateChart:
             integrate_chart(field, -2.0, np.array([0.0, -1.0]), s0)
         with pytest.raises(StructureError):
             integrate_chart(field, -2.0, np.array([-30.0, 0.0]), s0)
+
+
+def _chart_per_step(field, lam, grid, s0, tol=DEFAULT_TOLERANCES):
+    """Reference chart path one step at a time: the scalar field evaluation,
+    one propagator and one _mobius_apply per step."""
+    s, charts, flagged, worst = s0.mat, [s0.mat], [], 0.0
+    for m in range(grid.size - 1):
+        h = grid[m + 1] - grid[m]
+        phi = mat_exp(h * field.evaluate(grid[m] + 0.5 * h, lam).full())
+        s, cond, defect = _mobius_apply(s, phi)
+        if cond > 1.0 / tol.chart_tol:
+            flagged.append(m + 1)
+        worst = max(worst, defect)
+        charts.append(s)
+    return np.array(charts), tuple(flagged), worst
+
+
+class TestBlockedChart:
+    """integrate_chart builds propagators and conditioning for blocks of
+    steps; the path must be the one stepped one at a time."""
+
+    @pytest.mark.parametrize("name, lam", [("kdv7", 0.05), ("poschl_teller:2", -0.5)])
+    def test_flags_and_defect_match_per_step_reference(self, name, lam):
+        field = get_model(name)
+        grid = np.linspace(field.x_minus, field.x_plus, 4001)
+        s0 = chart_from_frame(farfield_frame(field.farfield_minus(lam), "unstable"))
+        path = integrate_chart(field, lam, grid, s0)
+        charts, flagged, worst = _chart_per_step(field, lam, grid, s0)
+        assert flagged  # the row passes chart singularities
+        assert path.flagged_samples == flagged
+        assert path.max_symmetry_defect == worst
+        assert np.array_equal(path.charts, charts)
+
+    @pytest.mark.parametrize("npoints", [2, BLOCK_STEPS + 1, BLOCK_STEPS + 2, 2 * BLOCK_STEPS + 89])
+    def test_grid_lengths_across_blocks(self, npoints):
+        field = get_model("kdv7")
+        lam = 0.1
+        grid = -3.0 + 0.01 * np.arange(npoints)
+        s0 = SymmetricChart(np.diag([0.5, -1.0, 2.0]))
+        path = integrate_chart(field, lam, grid, s0)
+        charts, flagged, worst = _chart_per_step(field, lam, grid, s0)
+        assert np.array_equal(path.charts, charts)
+        assert path.flagged_samples == flagged
+        assert path.max_symmetry_defect == worst
 
 
 class TestSingularEigenvalueCount:

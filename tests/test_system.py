@@ -86,6 +86,20 @@ class TestCoefficientField:
                              farfield_minus=lambda lam: _blocks(0.0, 1.0, 2.0, 0.0),
                              farfield_plus=exact.farfield_plus)
 
+    def test_full_stack_broadcasts_constant_blocks(self):
+        field = _scalar_field(lambda x, lam: _blocks(0.0, 1.0, 2.0, 0.0))
+        stack = field.full_stack(np.linspace(-1.0, 1.0, 4), 0.0)
+        assert stack.shape == (4, 2, 2)
+        assert np.array_equal(stack, np.broadcast_to([[0.0, 1.0], [2.0, 0.0]], (4, 2, 2)))
+
+    def test_full_stack_rejects_other_shapes(self):
+        # np.array([[x - lam]]) puts the grid axis last: (1, 1, N)
+        field = _scalar_field(lambda x, lam: _blocks(0.0, 1.0, x - lam, -0.0))
+        with pytest.raises(StructureError, match="block c has shape"):
+            field.full_stack(np.linspace(-1.0, 1.0, 3), 0.0)
+        with pytest.raises(StructureError, match="1-d"):
+            field.full_stack(np.zeros((2, 2)), 0.0)
+
     def test_empty_window_rejected(self):
         with pytest.raises(StructureError, match="x_minus < x_plus"):
             _scalar_field(lambda x, lam: _blocks(0.0, 1.0, 1.0, 0.0), 1.0, 1.0)

@@ -9,12 +9,14 @@ from maslovflow import (
     UnitarySymmetric,
     cayley,
     chart_from_frame,
+    det_phase,
     farfield_frame,
+    get_model,
     integrate_chart,
     integrate_unitary,
     kdv7_field,
+    mat_exp,
     poschl_teller_field,
-    riccati_rhs,
     rotated_coefficients,
     sym_eig,
     theta_from_chart,
@@ -23,7 +25,10 @@ from maslovflow import (
 )
 from maslovflow.errors import StepSizeError
 from maslovflow.matrixkit import symmetrize
+from maslovflow.riccati import BLOCK_STEPS
+from maslovflow.unitary import _polar_symmetric_project
 from conftest import constant_field, random_lagrangian_frame
+from oracles import riccati_rhs
 
 
 def _random_coeffs(rng, n):
@@ -239,6 +244,45 @@ class TestIntegrateUnitary:
     def test_theta_trace_rejects_big_steps(self):
         with pytest.raises(StepSizeError):
             ThetaTrace(grid=np.array([0.0, 1.0]), theta=np.array([0.0, 4.0]), theta0=0.0)
+
+
+def _unitary_per_step(field, lam, grid, u0, tol=DEFAULT_TOLERANCES):
+    """Reference unitary path one step at a time: the scalar field
+    evaluation, rotated coefficients and the Euler step of every sample."""
+    u, us, sigmas = u0.mat, [u0.mat], [np.zeros_like(u0.mat)]
+    theta = [det_phase(u0.mat)]
+    for m in range(grid.size - 1):
+        h = grid[m + 1] - grid[m]
+        rot = rotated_coefficients(field.evaluate(grid[m], lam))
+        xi = rot.D - 0.5 * (u @ np.conj(rot.C) - rot.C @ u.conj().T)
+        sigma = h * (0.5 * (xi - xi.conj().T))
+        e = mat_exp(sigma)
+        u = e @ u @ e.T
+        defect = max(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))),
+                     np.max(np.abs(u - u.T)))
+        if defect > tol.reproject_defect:
+            u = _polar_symmetric_project(u)
+        theta.append(theta[-1] + 2.0 * float(np.imag(np.trace(sigma))))
+        us.append(u)
+        sigmas.append(sigma)
+    return np.array(us), np.array(sigmas), np.array(theta)
+
+
+class TestBlockedUnitary:
+    """integrate_unitary computes C and D for blocks of steps; the path must
+    be the one stepped one at a time."""
+
+    @pytest.mark.parametrize("npoints", [2, BLOCK_STEPS + 1, BLOCK_STEPS + 2, 2 * BLOCK_STEPS + 89])
+    @pytest.mark.parametrize("name, lam", [("kdv7", 0.1), ("poschl_teller:2", -0.5)])
+    def test_grid_lengths_across_blocks(self, name, lam, npoints):
+        field = get_model(name)
+        grid = -3.0 + 0.01 * np.arange(npoints)
+        u0 = unitary_from_frame(farfield_frame(field.farfield_minus(lam), "unstable"))
+        path = integrate_unitary(field, lam, grid, u0)
+        us, sigmas, theta = _unitary_per_step(field, lam, grid, u0)
+        assert np.array_equal(path.us, us)
+        assert np.array_equal(path.sigmas, sigmas)
+        assert np.array_equal(path.theta_trace.theta, theta)
 
 
 class TestThetaFromChart:
