@@ -37,14 +37,12 @@ from .matrixkit import EigenDecomposition, det_phase, mat_exp, sym_arctan, sym_e
 from .models import (
     Kdv7Params,
     ModelSpec,
-    SturmLiouvilleParams,
     get_model,
     kdv7_coefficients,
     kdv7_field,
     kdv7_wave,
     poschl_teller_eigenvalues,
     poschl_teller_field,
-    sturm_liouville_field,
 )
 from .riccati import (
     ChartPath,
@@ -63,7 +61,6 @@ from .system import (
     total_frame_rank_loss,
     validate_coefficients,
 )
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
 from .unitary import (
     RotatedCoefficients,
     ThetaTrace,

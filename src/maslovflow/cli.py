@@ -22,8 +22,8 @@ import numpy as np
 from .errors import BackendDisagreementError, ConfigError, MaslovError, ModelError
 from .maslov import BACKENDS, refine_eigenvalue, run_trace, sweep_lambda
 from .models import ModelSpec, get_model
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
 from .selftest import SELFTEST_PROPERTIES, run_selftest
+from .tolerances import CHART_TOL
 from .unitary import cayley
 
 EXIT_OK = 0
@@ -155,8 +155,9 @@ class RunConfig:
             raise ConfigError("lambda grid needs at least 2 points")
         return np.linspace(lo, hi, count)
 
-    def tolerances(self) -> Tolerances:
-        return DEFAULT_TOLERANCES.with_overrides(chart_tol=self.chart_tol)
+    # kept for benchmark/probe.py, which passes it to get_model
+    def tolerances(self) -> float:
+        return self.chart_tol
 
     def require_model(self) -> ModelSpec:
         """The model named by ``model``, on the window ``x_range``."""
@@ -176,7 +177,7 @@ _DEFAULTS = {
     "out": None,
     "workers": 1,
     "init": "auto",
-    "chart_tol": DEFAULT_TOLERANCES.chart_tol,
+    "chart_tol": CHART_TOL,
     "tol_lambda": 1e-3,
 }
 
@@ -219,11 +220,11 @@ def cmd_trace(cfg: RunConfig) -> int:
     spec = cfg.require_model()
     if cfg.lam is None:
         raise ConfigError("trace needs a single --lambda value")
-    tol = cfg.tolerances()
-    field = get_model(spec, tol)
+    field = get_model(spec)
     grid = cfg.x_grid()
     lam = cfg.lam
-    trace = run_trace(field, lam, grid, backend=cfg.backend, init=cfg.init, tol=tol)
+    trace = run_trace(field, lam, grid, backend=cfg.backend, init=cfg.init,
+                      chart_tol=cfg.chart_tol)
 
     n = field.n
     have_chart = trace.chart_path is not None
@@ -241,11 +242,11 @@ def cmd_trace(cfg: RunConfig) -> int:
         us = trace.unitary_path.us
         sig = trace.unitary_path.sigmas
     else:
-        us = np.array([cayley(trace.chart_path.chart(i), tol).mat for i in range(grid.size)])
+        us = np.array([cayley(trace.chart_path.chart(i)).mat for i in range(grid.size)])
     det_col = np.angle(np.linalg.det(us))
     phase_cols = np.sort(np.angle(np.linalg.eigvals(us)), axis=1)
     if have_chart:
-        clip = 1.0 / tol.chart_tol
+        clip = 1.0 / cfg.chart_tol
         mu_cols = np.clip(trace.chart_path.eigen_trace.mu, -clip, clip)
 
     out_path = cfg.out or f"trace_{spec.name.replace(':', '_')}_{_fmt(lam)}.csv"
@@ -253,7 +254,7 @@ def cmd_trace(cfg: RunConfig) -> int:
         fh.write("# maslovflow trace; angles in radians; sign convention: a u-eigenphase "
                  "increasing through pi counts direction +1\n")
         fh.write(f"# model={cfg.model} lambda={_fmt(lam)} backend={cfg.backend} "
-                 f"init={trace.init_mode} chart_tol={_fmt(tol.chart_tol)}\n")
+                 f"init={trace.init_mode} chart_tol={_fmt(cfg.chart_tol)}\n")
         fh.write(",".join(columns) + "\n")
         for m in range(grid.size):
             row = [_fmt(grid[m]), _fmt(trace.theta.theta[m]), _fmt(det_col[m])]
@@ -277,11 +278,10 @@ def cmd_trace(cfg: RunConfig) -> int:
 
 def cmd_sweep(cfg: RunConfig) -> int:
     spec = cfg.require_model()
-    tol = cfg.tolerances()
     lambdas = cfg.lambda_grid()
     grid = cfg.x_grid()
     table = sweep_lambda(spec, lambdas, grid, backend=cfg.backend,
-                         workers=cfg.workers, tol=tol)
+                         workers=cfg.workers, chart_tol=cfg.chart_tol)
 
     out_path = cfg.out or f"sweep_{spec.name.replace(':', '_')}.csv"
     with _open_out(out_path) as fh:
@@ -339,7 +339,7 @@ def cmd_refine(cfg: RunConfig) -> int:
     backend = "unitary" if cfg.backend == "both" else cfg.backend
     lo, hi = cfg.lambda_range
     result = refine_eigenvalue(spec, lo, hi, cfg.x_grid(), tol_lambda=cfg.tol_lambda,
-                               backend=backend, tol=cfg.tolerances())
+                               backend=backend, chart_tol=cfg.chart_tol)
     payload = {
         "lambda_star": result.lam_star,
         "bracket": [result.bracket_lo, result.bracket_hi],
@@ -357,7 +357,7 @@ def cmd_refine(cfg: RunConfig) -> int:
 
 
 def cmd_selftest(cfg: RunConfig, corrupt: str | None) -> int:
-    reports = run_selftest(tol=cfg.tolerances(), corrupt=corrupt)
+    reports = run_selftest(chart_tol=cfg.chart_tol, corrupt=corrupt)
     for report in reports:
         print(report.line())
     if all(r.passed for r in reports):

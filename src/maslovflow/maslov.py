@@ -26,7 +26,7 @@ from .errors import (
 from .models import ModelSpec, get_model
 from .riccati import ChartPath, SymmetricChart, integrate_chart
 from .system import CoefficientField, LagrangianFrame, chart_from_frame, farfield_frame
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import CHART_TOL, END_FLAG_ANGLE, PHASE_MATCH_REJECT
 from .unitary import (
     ThetaTrace,
     UnitaryPath,
@@ -181,15 +181,15 @@ def _phases_ambiguous(phases: np.ndarray, step: int, resolution: float) -> bool:
 def detect_crossings(
     u_path: np.ndarray | UnitaryPath,
     grid: np.ndarray | None = None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    chart_tol: float = CHART_TOL,
 ) -> list[CrossingRecord]:
     """Detect passages of spec(u) through -1 along a unitary path.
 
     Eigenphases are tracked between samples by nearest matching (rejection
-    threshold ``tol.phase_match_reject``); a crossing is recorded when a
+    threshold ``PHASE_MATCH_REJECT``); a crossing is recorded when a
     tracked phase passes pi, with multiplicity the number of phases crossing
     in the same step and direction the sign of the phase velocity.  Crossings
-    whose phases sit closer than ``tol.chart_tol`` get direction 0 and a
+    whose phases sit closer than ``chart_tol`` get direction 0 and a
     warning.
     """
     if isinstance(u_path, UnitaryPath):
@@ -208,12 +208,12 @@ def detect_crossings(
             f"consecutive u samples differ by {float(np.max(jumps)):.3f} >= 0.5; refine the grid")
     phases = np.angle(np.linalg.eigvals(us))
     phases = np.sort(phases, axis=1)
-    return _detect_from_phases(phases, grid, tol)
+    return _detect_from_phases(phases, grid, chart_tol)
 
 
 def crossings_from_chart(
     path: ChartPath,
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    chart_tol: float = CHART_TOL,
 ) -> list[CrossingRecord]:
     """Crossings along a chart path: eigenvalues of s through infinity.
 
@@ -222,21 +222,22 @@ def crossings_from_chart(
     through pi, so chart and unitary routes count identically.
     """
     phases = np.sort(-2.0 * np.arctan(path.eigen_trace.mu), axis=1)
-    return _detect_from_phases(phases, path.grid, tol)
+    return _detect_from_phases(phases, path.grid, chart_tol)
 
 
 def _detect_from_phases(
     phases: np.ndarray,
     grid: np.ndarray,
-    tol: Tolerances,
+    chart_tol: float,
 ) -> list[CrossingRecord]:
-    unwrapped = _track_phases(phases, tol.phase_match_reject)
+    unwrapped = _track_phases(phases, PHASE_MATCH_REJECT)
     records = _crossings_from_phase_tracks(unwrapped, grid)
     out: list[CrossingRecord] = []
     for rec in records:
         step = int(np.searchsorted(grid, rec.x, side="right") - 1)
         step = min(max(step, 0), phases.shape[0] - 2)
-        if rec.direction != 0 and rec.multiplicity > 1 and _phases_ambiguous(phases, step, tol.chart_tol):
+        if (rec.direction != 0 and rec.multiplicity > 1
+                and _phases_ambiguous(phases, step, chart_tol)):
             warnings.warn(
                 f"crossing near x={rec.x:.4f} involves phases closer than the resolution; "
                 "direction recorded as 0", stacklevel=2)
@@ -248,17 +249,16 @@ def _detect_from_phases(
 def end_intersection_dimension(
     u_end: np.ndarray,
     u_reference: np.ndarray,
-    angle_tol: float = DEFAULT_TOLERANCES.end_flag_angle,
 ) -> int:
     """Dimension of the near-intersection of two planes from their unitary
     representatives: the number of singular values of (u1 - u2) below the
-    chord length of ``angle_tol``.
+    chord length of ``END_FLAG_ANGLE``.
 
     Two Lagrangian planes intersect in dimension k exactly when u1 - u2 has
     a k-dimensional kernel.
     """
     sv = np.linalg.svd(np.asarray(u_end) - np.asarray(u_reference), compute_uv=False)
-    chord = 2.0 * np.sin(0.5 * angle_tol)
+    chord = 2.0 * np.sin(0.5 * END_FLAG_ANGLE)
     return int(np.sum(sv < chord))
 
 
@@ -267,7 +267,7 @@ def _end_of_interval_flag(
     grid: np.ndarray,
     u_end: np.ndarray,
     u_ref: np.ndarray | None,
-    tol: Tolerances,
+    chart_tol: float,
 ) -> tuple[bool, int]:
     """Asymptotic-intersection flag for the right end of the window.
 
@@ -275,17 +275,17 @@ def _end_of_interval_flag(
     step of x_plus, the final plane is within ``chart_tol`` of the train
     (an eigenphase of u_end near pi, i.e. a huge chart eigenvalue at the
     end), or the final plane intersects the far-field reference plane within
-    ``end_flag_angle``.  Near-exact spectral eigenvalues produce the middle
+    ``END_FLAG_ANGLE``.  Near-exact spectral eigenvalues produce the middle
     signature; the dimension of the reference-plane intersection is returned
     alongside.
     """
     h = float(grid[-1] - grid[-2])
     edge_crossing = any(c.x > grid[-1] - 1.5 * h for c in crossings)
     end_phases = np.angle(np.linalg.eigvals(u_end))
-    near_train = bool(np.min(np.abs(np.abs(end_phases) - np.pi)) < tol.chart_tol)
+    near_train = bool(np.min(np.abs(np.abs(end_phases) - np.pi)) < chart_tol)
     end_dim = 0
     if u_ref is not None:
-        end_dim = end_intersection_dimension(u_end, u_ref, tol.end_flag_angle)
+        end_dim = end_intersection_dimension(u_end, u_ref)
     return bool(edge_crossing or near_train or end_dim > 0), end_dim
 
 
@@ -316,7 +316,6 @@ def _far_field_ends(
     field: CoefficientField,
     lam: float,
     init: str,
-    tol: Tolerances,
 ) -> tuple[LagrangianFrame | None, str, np.ndarray | None]:
     """The far-field data a row starts and ends with: the start frame (None
     for the identity plane u0 = I), the start used, and the unitary
@@ -330,13 +329,13 @@ def _far_field_ends(
     init_mode = "identity"
     if init != "identity":
         try:
-            frame0 = farfield_frame(field.farfield_minus(lam), "unstable", tol)
+            frame0 = farfield_frame(field.farfield_minus(lam), "unstable")
             init_mode = "farfield"
         except (HyperbolicityError, StructureError):
             if init == "farfield":
                 raise
     try:
-        u_ref = unitary_from_frame(farfield_frame(field.farfield_plus(lam), "stable", tol)).mat
+        u_ref = unitary_from_frame(farfield_frame(field.farfield_plus(lam), "stable")).mat
     except (HyperbolicityError, StructureError) as exc:
         if init == "farfield":
             raise type(exc)(f"right far field: {exc}") from exc
@@ -349,7 +348,7 @@ def _run_row(
     grid: np.ndarray,
     backend: str,
     ends: tuple[LagrangianFrame | None, str, np.ndarray | None],
-    tol: Tolerances,
+    chart_tol: float,
 ) -> TraceResult:
     """The per-lambda core behind traces, sweep rows and refine probes.
 
@@ -363,22 +362,22 @@ def _run_row(
     u_path: UnitaryPath | None = None
     count_chart = count_unitary = -1
     if backend != "unitary":
-        s0 = SymmetricChart(np.zeros((n, n))) if frame0 is None else chart_from_frame(frame0, tol)
-        chart_path = integrate_chart(field, lam, grid, s0, tol)
-        crossings = crossings_from_chart(chart_path, tol)
+        s0 = SymmetricChart(np.zeros((n, n))) if frame0 is None else chart_from_frame(frame0)
+        chart_path = integrate_chart(field, lam, grid, s0, chart_tol)
+        crossings = crossings_from_chart(chart_path, chart_tol)
         count_chart = sum(c.multiplicity for c in crossings)
     if backend != "chart":
         u0 = UnitarySymmetric(np.eye(n, dtype=complex)) if frame0 is None else unitary_from_frame(frame0)
-        u_path = integrate_unitary(field, lam, grid, u0, tol=tol)
-        crossings = detect_crossings(u_path, tol=tol)
+        u_path = integrate_unitary(field, lam, grid, u0)
+        crossings = detect_crossings(u_path, chart_tol=chart_tol)
         count_unitary = sum(c.multiplicity for c in crossings)
         theta = u_path.theta_trace
         u_end = u_path.us[-1]
     else:
         theta = theta_from_chart(chart_path)
-        u_end = cayley(chart_path.chart(-1), tol).mat
+        u_end = cayley(chart_path.chart(-1)).mat
 
-    end_flag, end_dim = _end_of_interval_flag(crossings, grid, u_end, u_ref, tol)
+    end_flag, end_dim = _end_of_interval_flag(crossings, grid, u_end, u_ref, chart_tol)
     return TraceResult(lam=lam, grid=grid, backend=backend, init_mode=init_mode,
                        theta=theta, unitary_path=u_path, chart_path=chart_path,
                        result=maslov_index(crossings, theta_trace=theta),
@@ -392,7 +391,7 @@ def run_trace(
     grid: np.ndarray,
     backend: str = "unitary",
     init: str = "auto",
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    chart_tol: float = CHART_TOL,
 ) -> TraceResult:
     """Integrate one lambda with the requested backend(s) and detect
     crossings against the standard reference plane.
@@ -409,7 +408,7 @@ def run_trace(
     if init not in ("auto", "farfield", "identity"):
         raise ConfigError(f"init must be auto|farfield|identity, got {init!r}")
     grid = np.asarray(grid, dtype=float)
-    trace = _run_row(field, lam, grid, backend, _far_field_ends(field, lam, init, tol), tol)
+    trace = _run_row(field, lam, grid, backend, _far_field_ends(field, lam, init), chart_tol)
     if backend == "both" and trace.count_chart != trace.count_unitary:
         raise BackendDisagreementError(
             f"backend disagreement at lambda={lam}: chart counts {trace.count_chart}, "
@@ -459,7 +458,7 @@ def _failed_row(lam: float, status: str, reason: str) -> SweepRow:
 
 
 def _sweep_row(field: CoefficientField, lam: float, grid: np.ndarray, backend: str,
-               tol: Tolerances) -> SweepRow:
+               chart_tol: float) -> SweepRow:
     """One sweep row or refine probe: the core from both far fields.
 
     A lambda outside the method's domain (a far field not hyperbolic, or a
@@ -467,11 +466,11 @@ def _sweep_row(field: CoefficientField, lam: float, grid: np.ndarray, backend: s
     the integration or detection propagate.
     """
     try:
-        ends = _far_field_ends(field, lam, "farfield", tol)
+        ends = _far_field_ends(field, lam, "farfield")
     except (HyperbolicityError, StructureError) as exc:
         return _failed_row(lam, "skipped", str(exc))
     try:
-        trace = _run_row(field, lam, grid, backend, ends, tol)
+        trace = _run_row(field, lam, grid, backend, ends, chart_tol)
     except ChartDomainError as exc:
         return _failed_row(lam, "skipped", str(exc))
     status, reason = "ok", ""
@@ -486,12 +485,12 @@ def _sweep_row(field: CoefficientField, lam: float, grid: np.ndarray, backend: s
 def _sweep_chunk(job: tuple) -> list[SweepRow]:
     """Rows for a chunk of lambdas on one field; a row whose integration or
     detection fails numerically gets status "error" and the reason."""
-    spec, lambdas, grid, backend, tol = job
-    field = get_model(spec, tol)
+    spec, lambdas, grid, backend, chart_tol = job
+    field = get_model(spec)
     rows = []
     for lam in lambdas:
         try:
-            rows.append(_sweep_row(field, float(lam), grid, backend, tol))
+            rows.append(_sweep_row(field, float(lam), grid, backend, chart_tol))
         except (StepSizeError, StructureError) as exc:
             rows.append(_failed_row(float(lam), "error", str(exc)))
     return rows
@@ -503,7 +502,7 @@ def sweep_lambda(
     x_grid: np.ndarray,
     backend: str = "both",
     workers: int = 1,
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    chart_tol: float = CHART_TOL,
 ) -> SweepTable:
     """Integrate every lambda row and locate eigenvalues by count jumps.
 
@@ -525,7 +524,7 @@ def sweep_lambda(
     x_grid = np.asarray(x_grid, dtype=float)
 
     n_chunks = min(lambda_grid.size, 4 * workers) if workers > 1 else 1
-    jobs = [(spec, chunk, x_grid, backend, tol)
+    jobs = [(spec, chunk, x_grid, backend, chart_tol)
             for chunk in np.array_split(lambda_grid, n_chunks)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -564,7 +563,7 @@ def refine_eigenvalue(
     x_grid: np.ndarray,
     tol_lambda: float = 1e-3,
     backend: str = "unitary",
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    chart_tol: float = CHART_TOL,
 ) -> RefineResult:
     """Bisect a lambda bracket on the crossing-count jump.
 
@@ -575,11 +574,11 @@ def refine_eigenvalue(
     spec = ModelSpec.parse(model) if isinstance(model, str) else model
     if not lam_lo < lam_hi:
         raise ConfigError("need lam_lo < lam_hi")
-    field = get_model(spec, tol)
+    field = get_model(spec)
     x_grid = np.asarray(x_grid, dtype=float)
 
     def count_at(lam: float) -> int:
-        row = _sweep_row(field, lam, x_grid, backend, tol)
+        row = _sweep_row(field, lam, x_grid, backend, chart_tol)
         if row.status == "skipped":
             raise HyperbolicityError(f"lambda={lam}: {row.reason}")
         return int(row.crossing_count)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StructureError
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import CHART_SYMMETRY, EIG_ORTHONORMALITY, EIG_RECONSTRUCTION, UNITARY_CHECK
 
 __all__ = [
     "EigenDecomposition",
@@ -30,11 +30,11 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def as_real_symmetric(m: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def as_real_symmetric(m: np.ndarray) -> np.ndarray:
     """Validate and symmetrize a real square matrix.
 
-    Rejects non-finite input and asymmetry defects beyond ``tol`` relative to
-    the matrix scale; the returned array is exactly symmetric.
+    Rejects non-finite input and asymmetry defects beyond ``CHART_SYMMETRY``
+    relative to the matrix scale; the returned array is exactly symmetric.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -43,8 +43,9 @@ def as_real_symmetric(m: np.ndarray, tol: float = 1e-8) -> np.ndarray:
         raise StructureError("matrix has non-finite entries")
     scale = max(1.0, float(np.max(np.abs(m))))
     defect = float(np.max(np.abs(m - m.T)))
-    if defect > tol * scale:
-        raise StructureError(f"matrix not symmetric: defect {defect:.3e} > {tol * scale:.3e}")
+    if defect > CHART_SYMMETRY * scale:
+        raise StructureError(
+            f"matrix not symmetric: defect {defect:.3e} > {CHART_SYMMETRY * scale:.3e}")
     return symmetrize(m)
 
 
@@ -60,7 +61,7 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
-def sym_eig(m: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> EigenDecomposition:
+def sym_eig(m: np.ndarray) -> EigenDecomposition:
     """Eigendecomposition of a real symmetric matrix (ascending eigenvalues).
 
     Uses the LAPACK symmetric solver (tridiagonalization + implicit QL/QR).
@@ -71,11 +72,11 @@ def sym_eig(m: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> EigenDecompo
     w, v = np.linalg.eigh(m)
     n = m.shape[0]
     orth = float(np.max(np.abs(v.T @ v - np.eye(n))))
-    if orth > tol.eig_orthonormality:
+    if orth > EIG_ORTHONORMALITY:
         raise StructureError(f"eigenvector basis not orthonormal: {orth:.3e}")
     scale = max(float(np.max(np.abs(m))), 1e-300)
     recon = float(np.max(np.abs(m - (v * w) @ v.T)))
-    if recon > tol.eig_reconstruction * scale:
+    if recon > EIG_RECONSTRUCTION * scale:
         raise StructureError(f"eigendecomposition reconstruction defect {recon:.3e}")
     return EigenDecomposition(eigenvalues=w, eigenvectors=v)
 
@@ -176,17 +177,17 @@ def mat_exp(m: np.ndarray) -> np.ndarray:
     return r.reshape(m.shape)
 
 
-def sym_arctan(s: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def sym_arctan(s: np.ndarray) -> np.ndarray:
     """Principal arctan of a real symmetric matrix, V arctan(L) V^T.
 
     The spectrum of the result lies in (-pi/2, pi/2).
     """
-    dec = sym_eig(s, tol)
+    dec = sym_eig(s)
     v = dec.eigenvectors
     return symmetrize((v * np.arctan(dec.eigenvalues)) @ v.T)
 
 
-def det_phase(u: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
+def det_phase(u: np.ndarray) -> float:
     """Principal argument of det(u) for a unitary matrix, in (-pi, pi].
 
     Computed from the sign factor of an LU-based log-determinant (sum of
@@ -198,7 +199,7 @@ def det_phase(u: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     if not np.all(np.isfinite(u)):
         raise StructureError("matrix has non-finite entries")
     defect = float(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))))
-    if defect > tol.unitary_check:
+    if defect > UNITARY_CHECK:
         raise StructureError(f"matrix not unitary: defect {defect:.3e}")
     sign, _ = np.linalg.slogdet(u.astype(complex))
     return float(np.angle(sign))

@@ -11,22 +11,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
 from .errors import ModelError
 from .system import CoefficientField, SymplecticCoefficients
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 __all__ = [
     "Kdv7Params",
-    "SturmLiouvilleParams",
     "ModelSpec",
     "kdv7_wave",
     "kdv7_coefficients",
     "kdv7_field",
-    "sturm_liouville_field",
     "poschl_teller_field",
     "poschl_teller_eigenvalues",
     "get_model",
@@ -49,6 +45,12 @@ _WIDTH_SQ = Fraction(25, 2159)
 # [-20, 20] leaves a tail of 6.5e-4; a window narrow enough to change counts
 # (a tail of 1.9e-2 at [-12, 12]) is rejected when the field is built.
 _KDV7_FARFIELD_TOL = 1e-3
+
+# Declared far-field tolerance of the Poeschl-Teller fields: the largest
+# |V| allowed at the window ends.  The default window [-20, 20] leaves about
+# 1e-16; [-6, 6] leaves 1.5e-4 (m = 2), and [-5, 5], with 1.1e-3, is
+# rejected when the field is built.
+_PT_FARFIELD_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -136,46 +138,6 @@ def kdv7_field(
                             farfield_tol=_KDV7_FARFIELD_TOL, name="kdv7")
 
 
-@dataclass(frozen=True)
-class SturmLiouvilleParams:
-    """Scalar Schroedinger problem -u'' + V(x) u = lambda u.
-
-    ``potential`` takes a float or a 1-d array of x, elementwise.
-    ``eigenvalues`` holds the closed-form point spectrum when known.
-    """
-
-    potential: Callable[[np.ndarray | float], np.ndarray | float]
-    lambda_range: tuple[float, float]
-    eigenvalues: tuple[float, ...] = ()
-
-
-def sturm_liouville_field(
-    params: SturmLiouvilleParams,
-    x_minus: float = -20.0,
-    x_plus: float = 20.0,
-    farfield_tol: float = 1e-8,
-    name: str = "sturm_liouville",
-) -> CoefficientField:
-    """First-order reduction q = u, p = u': a = 0, b = 1, c = V - lambda, d = 0."""
-    pot = params.potential
-
-    def blocks(c: np.ndarray | float) -> SymplecticCoefficients:
-        a = np.zeros((1, 1))
-        c_block = np.asarray(c, dtype=float)[..., None, None]
-        return SymplecticCoefficients(n=1, a=a, b=np.ones((1, 1)), c=c_block, d=-a.T)
-
-    def evaluate(x: np.ndarray | float, lam: float) -> SymplecticCoefficients:
-        return blocks(pot(x) - lam)
-
-    def limit_at(x_end: float):
-        v_inf = pot(x_end)
-        return lambda lam: blocks(v_inf - lam)
-
-    return CoefficientField(n=1, evaluate=evaluate, x_minus=x_minus, x_plus=x_plus,
-                            farfield_minus=limit_at(x_minus), farfield_plus=limit_at(x_plus),
-                            farfield_tol=farfield_tol, name=name)
-
-
 def poschl_teller_eigenvalues(m: int) -> tuple[float, ...]:
     """Closed-form bound states of V = -m(m+1) sech^2 x: {-j^2 : j = 1..m}."""
     return tuple(-float(j * j) for j in range(m, 0, -1))
@@ -186,21 +148,31 @@ def poschl_teller_field(
     x_minus: float = -20.0,
     x_plus: float = 20.0,
 ) -> CoefficientField:
-    """Poeschl-Teller oracle model with m bound states; hyperbolic iff lambda < 0."""
+    """Poeschl-Teller oracle model with m bound states; hyperbolic iff lambda < 0.
+
+    First-order reduction of -u'' + V u = lambda u with q = u, p = u':
+    a = 0, b = 1, c = V - lambda, d = 0.  The far-field limits are those of
+    V(+-inf) = 0; the window ends must come within 1e-3 of them, so a window
+    that cuts into the well raises ``StructureError`` instead of miscounting.
+    """
     if m not in (1, 2, 3):
         raise ModelError(f"poschl_teller expects m in {{1, 2, 3}}, got {m}")
 
-    def potential(x: np.ndarray | float) -> np.ndarray | float:
-        sech = _sech(x)
-        return -m * (m + 1) * sech * sech
+    def blocks(c: np.ndarray | float) -> SymplecticCoefficients:
+        a = np.zeros((1, 1))
+        c_block = np.asarray(c, dtype=float)[..., None, None]
+        return SymplecticCoefficients(n=1, a=a, b=np.ones((1, 1)), c=c_block, d=-a.T)
 
-    params = SturmLiouvilleParams(potential=potential,
-                                  lambda_range=(-float(m * m) - 1.0, 0.0),
-                                  eigenvalues=poschl_teller_eigenvalues(m))
-    tail = abs(potential(max(abs(x_minus), abs(x_plus))))
-    return sturm_liouville_field(params, x_minus, x_plus,
-                                 farfield_tol=2.0 * tail + 1e-12,
-                                 name=f"poschl_teller:{m}")
+    def evaluate(x: np.ndarray | float, lam: float) -> SymplecticCoefficients:
+        sech = _sech(x)
+        return blocks(-m * (m + 1) * sech * sech - lam)
+
+    def limit(lam: float) -> SymplecticCoefficients:
+        return blocks(-lam)
+
+    return CoefficientField(n=1, evaluate=evaluate, x_minus=x_minus, x_plus=x_plus,
+                            farfield_minus=limit, farfield_plus=limit,
+                            farfield_tol=_PT_FARFIELD_TOL, name=f"poschl_teller:{m}")
 
 
 @dataclass(frozen=True)
@@ -233,20 +205,13 @@ class ModelSpec:
             return ModelSpec("poschl_teller", {"m": m})
         raise ModelError(f"unknown model {text!r}; choose from {sorted(MODEL_NAMES)}")
 
-    def as_dict(self) -> dict:
-        return {"name": self.name, "params": dict(self.params)}
-
 
 MODEL_NAMES = ("kdv7", "poschl_teller")
 
 
-def get_model(spec: ModelSpec | str, tol: Tolerances = DEFAULT_TOLERANCES) -> CoefficientField:
-    """Build the coefficient field a ModelSpec or name refers to.
-
-    The bundled fields are exact by construction and checked once when the
-    field is built, so ``tol`` changes nothing here; it is accepted so that
-    callers can hand every layer the run's tolerances alike.
-    """
+# ``tol`` is ignored; benchmark/probe.py still passes it.
+def get_model(spec: ModelSpec | str, tol: object = None) -> CoefficientField:
+    """Build the coefficient field a ModelSpec or name refers to."""
     if isinstance(spec, str):
         spec = ModelSpec.parse(spec)
     kwargs = dict(spec.params)

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import StructureError
 from .matrixkit import mat_exp, symmetrize
 from .system import CoefficientField
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import CHART_TOL
 
 # Steps whose state-independent work (field evaluation, propagators) is done
 # together; bounded so the stacks stay small on any grid.
@@ -116,7 +116,7 @@ def singular_threshold(chart_tol: float) -> float:
 
 def singular_eigenvalue_count(
     s: SymmetricChart,
-    chart_tol: float = DEFAULT_TOLERANCES.chart_tol,
+    chart_tol: float = CHART_TOL,
 ) -> int:
     """Number of eigenvalues of Cay(s) within ``chart_tol`` of -1 on the
     circle, i.e. eigenvalues of s with |mu| > cot(chart_tol / 2).
@@ -140,7 +140,7 @@ def integrate_chart(
     lam: float,
     grid: np.ndarray,
     s0: SymmetricChart,
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    chart_tol: float = CHART_TOL,
 ) -> ChartPath:
     """Integrate the chart flow over ``grid`` with midpoint-frozen
     exponential propagators applied through the Moebius action.
@@ -153,12 +153,7 @@ def integrate_chart(
     step is retried as two half steps (the singular set is isolated) and
     the sample flagged.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
-        raise StructureError("grid must be strictly increasing with >= 2 points")
-    span = 1e-12 * (field.x_plus - field.x_minus)
-    if grid[0] < field.x_minus - span or grid[-1] > field.x_plus + span:
-        raise StructureError("grid extends outside [x_minus, x_plus]")
+    grid = field.check_grid(grid)
     if s0.n != field.n:
         raise StructureError("initial chart dimension disagrees with field")
 
@@ -201,12 +196,12 @@ def integrate_chart(
     defects = np.abs(unsymmetrized - unsymmetrized.transpose(0, 2, 1)).max(axis=(1, 2))
     for m, (c, d) in halved.items():
         cond[m], defects[m] = c, d
-    flag = cond > 1.0 / tol.chart_tol
+    flag = cond > 1.0 / chart_tol
     flag[list(halved)] = True
     flagged = tuple(int(m) + 1 for m in np.flatnonzero(flag))
 
     mu = np.linalg.eigvalsh(charts)
-    flags = np.abs(mu) > singular_threshold(tol.chart_tol)
+    flags = np.abs(mu) > singular_threshold(chart_tol)
     trace = EigenTrace(grid=grid, mu=mu, singular_flags=flags)
     return ChartPath(grid=grid, charts=charts, eigen_trace=trace,
                      flagged_samples=flagged, max_symmetry_defect=float(defects.max()))

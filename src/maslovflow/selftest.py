@@ -10,18 +10,28 @@ propagate to a nonzero exit code.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .maslov import _far_field_ends, _run_row
 from .matrixkit import det_phase, sym_arctan, symmetrize
 from .models import get_model
-from .riccati import singular_eigenvalue_count
+from .riccati import SymmetricChart, singular_eigenvalue_count
 from .system import LagrangianFrame, chart_from_frame, farfield_frame, total_frame_rank_loss
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import CHART_TOL, RANK_THRESHOLD
 from .unitary import cayley, integrate_unitary, unitary_from_frame
 
-__all__ = ["PropertyReport", "planted_rank_loss_frame", "run_selftest", "SELFTEST_PROPERTIES"]
+__all__ = [
+    "PropertyReport",
+    "planted_rank_loss_frame",
+    "check_trace_formula",
+    "check_unitarity_drift",
+    "check_theorem1",
+    "check_route_agreement",
+    "run_selftest",
+    "SELFTEST_PROPERTIES",
+]
 
 
 @dataclass(frozen=True)
@@ -70,59 +80,68 @@ def planted_rank_loss_frame(
     return LagrangianFrame(q=q, p=p)
 
 
-def _check_trace_formula(tol: Tolerances, bound: float, rng: np.random.Generator) -> PropertyReport:
+def check_trace_formula(rng: np.random.Generator, bound: float) -> PropertyReport:
+    """arg det Cay(s) against -2 tr arctan(s), mod 2 pi, on 200 random
+    symmetric s drawn from ``rng`` (n in 1..6, entries in [-5, 5])."""
     worst = 0.0
     for _ in range(200):
         n = int(rng.integers(1, 7))
         s_mat = symmetrize(rng.uniform(-5.0, 5.0, size=(n, n)))
-        lhs = det_phase(cayley_of(s_mat, tol), tol)
-        rhs = -2.0 * float(np.trace(sym_arctan(s_mat, tol)))
+        lhs = det_phase(cayley(SymmetricChart(s_mat)).mat)
+        rhs = -2.0 * float(np.trace(sym_arctan(s_mat)))
         defect = abs(_wrap(lhs - rhs))
         worst = max(worst, defect)
     return PropertyReport("trace_formula", worst, bound,
                           "arg det Cay(s) vs -2 tr arctan(s), 200 random s")
 
 
-def cayley_of(s_mat: np.ndarray, tol: Tolerances) -> np.ndarray:
-    from .riccati import SymmetricChart
-
-    return cayley(SymmetricChart(s_mat), tol).mat
-
-
 def _wrap(angle: float) -> float:
     return float((angle + np.pi) % (2.0 * np.pi) - np.pi)
 
 
-def _check_unitarity_drift(tol: Tolerances, bound: float) -> PropertyReport:
+def check_unitarity_drift(bound: float) -> PropertyReport:
+    """Worst unitarity and symmetry defect of the raw unitary-route steps on
+    kdv7 at lambda = 0.15 over 1e4 steps.  The defects measure the drift of
+    the unprojected scheme, so a path with any re-projected step fails."""
     field = get_model("kdv7")
     grid = np.linspace(field.x_minus, field.x_plus, 10_001)
-    frame = farfield_frame(field.farfield_minus(0.15), "unstable", tol)
-    path = integrate_unitary(field, 0.15, grid, unitary_from_frame(frame),
-                             tol=tol, reproject=False)
+    frame = farfield_frame(field.farfield_minus(0.15), "unstable")
+    path = integrate_unitary(field, 0.15, grid, unitary_from_frame(frame))
+    if path.reprojected_steps:
+        return PropertyReport("unitarity_drift", np.inf, bound,
+                              f"kdv7 lambda=0.15, 1e4 steps, {path.reprojected_steps} "
+                              "re-projected")
     worst = max(path.max_unitarity_defect, path.max_symmetry_defect)
     return PropertyReport("unitarity_drift", worst, bound,
                           "kdv7 lambda=0.15, 1e4 steps, no re-projection")
 
 
-def _check_theorem1(tol: Tolerances, bound: float, rng: np.random.Generator) -> PropertyReport:
+def check_theorem1(
+    rng: np.random.Generator,
+    bound: float,
+    chart_tol: float = CHART_TOL,
+) -> PropertyReport:
+    """Singular-eigenvalue count, rank loss of q and total-frame rank loss
+    against the planted k on 50 frames from ``rng`` (n = 4, k = i mod 4);
+    the defect is the number of frames where any count differs."""
     n = 4
     failures = 0
     for i in range(50):
         k = i % 4
         frame = planted_rank_loss_frame(n, k, rng)
-        chart = chart_from_frame(frame, tol)
-        c_sing = singular_eigenvalue_count(chart, tol.chart_tol)
-        c_rank = total_frame_rank_loss(frame, tol)
+        chart = chart_from_frame(frame)
+        c_sing = singular_eigenvalue_count(chart, chart_tol)
+        c_rank = total_frame_rank_loss(frame)
         stacked = np.block([[frame.q, np.zeros((n, n))], [frame.p, np.eye(n)]])
         sv = np.linalg.svd(stacked, compute_uv=False)
-        c_total = 2 * n - int(np.sum(sv > tol.rank_threshold * sv[0]))
+        c_total = 2 * n - int(np.sum(sv > RANK_THRESHOLD * sv[0]))
         if not (c_sing == c_rank == c_total == k):
             failures += 1
     return PropertyReport("theorem1_equivalence", float(failures), bound,
                           "singular-eigenvalue vs rank-loss counts, 50 planted frames")
 
 
-def _check_backend_agreement(tol: Tolerances, bound: float) -> PropertyReport:
+def _check_backend_agreement(bound: float, chart_tol: float) -> PropertyReport:
     cases = [("poschl_teller:2", (-5.0, -2.0, -0.5)), ("kdv7", (-0.2, 0.05, 0.13))]
     worst = 0
     for name, lams in cases:
@@ -130,14 +149,14 @@ def _check_backend_agreement(tol: Tolerances, bound: float) -> PropertyReport:
         grid = np.linspace(field.x_minus, field.x_plus, 2001)
         for lam in lams:
             # the core's two counts, compared here rather than raised on
-            ends = _far_field_ends(field, lam, "auto", tol)
-            trace = _run_row(field, lam, grid, "both", ends, tol)
+            ends = _far_field_ends(field, lam, "auto")
+            trace = _run_row(field, lam, grid, "both", ends, chart_tol)
             worst = max(worst, abs(trace.count_unitary - trace.count_chart))
     return PropertyReport("backend_agreement", float(worst), bound,
                           "chart vs unitary crossing counts on both bundled models")
 
 
-def theta_via_trace_formula(us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _theta_via_trace_formula(us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample -2 tr arctan(s) along a unitary path, plus a mask of the
     samples where the chart exists with all |mu_i| < 10.
 
@@ -149,15 +168,18 @@ def theta_via_trace_formula(us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.sum(phases, axis=1), keep
 
 
-def _check_route_agreement(tol: Tolerances, bound: float) -> PropertyReport:
-    """Trace-formula route vs sigma-accumulation route on one trajectory."""
+def check_route_agreement(cases: Sequence[tuple[str, float]], bound: float) -> PropertyReport:
+    """Trace-formula route vs sigma-accumulation route for each (model name,
+    lambda) in ``cases``: 4000 unitary steps across the model's window from
+    the left far field; theta is compared on the stretch after the first
+    sample with all |mu_i| < 10, up to the next sample without."""
     worst = 0.0
-    for name, lam in (("poschl_teller:2", -2.0), ("kdv7", 0.15)):
+    for name, lam in cases:
         field = get_model(name)
         grid = np.linspace(field.x_minus, field.x_plus, 4001)
-        frame = farfield_frame(field.farfield_minus(lam), "unstable", tol)
-        path = integrate_unitary(field, lam, grid, unitary_from_frame(frame), tol=tol)
-        base, keep = theta_via_trace_formula(path.us)
+        frame = farfield_frame(field.farfield_minus(lam), "unstable")
+        path = integrate_unitary(field, lam, grid, unitary_from_frame(frame))
+        base, keep = _theta_via_trace_formula(path.us)
         anchor = int(np.nonzero(keep)[0][0])
         offset = path.theta_trace.theta[anchor] - base[anchor]
         offset = round(offset / (2.0 * np.pi)) * 2.0 * np.pi
@@ -189,9 +211,11 @@ _BOUNDS = {
     "route_agreement": 1e-5,
 }
 
+_ROUTE_CASES = (("poschl_teller:2", -2.0), ("kdv7", 0.15))
+
 
 def run_selftest(
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    chart_tol: float = CHART_TOL,
     corrupt: str | None = None,
     seed: int = 20240611,
 ) -> list[PropertyReport]:
@@ -203,10 +227,10 @@ def run_selftest(
         bounds[corrupt] = 0.0
     rng = np.random.default_rng(seed)
     reports = [
-        _check_trace_formula(tol, bounds["trace_formula"], rng),
-        _check_unitarity_drift(tol, bounds["unitarity_drift"]),
-        _check_theorem1(tol, bounds["theorem1_equivalence"], rng),
-        _check_backend_agreement(tol, bounds["backend_agreement"]),
-        _check_route_agreement(tol, bounds["route_agreement"]),
+        check_trace_formula(rng, bounds["trace_formula"]),
+        check_unitarity_drift(bounds["unitarity_drift"]),
+        check_theorem1(rng, bounds["theorem1_equivalence"], chart_tol),
+        _check_backend_agreement(bounds["backend_agreement"], chart_tol),
+        check_route_agreement(_ROUTE_CASES, bounds["route_agreement"]),
     ]
     return reports

@@ -8,14 +8,23 @@ enters, and builds initial frames from far-field invariant subspaces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Callable, TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ChartDomainError, HyperbolicityError, StructureError
 from .matrixkit import symmetrize
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import (
+    BLOCK_STRUCTURE,
+    CHART_SYMMETRY,
+    COND_LIMIT,
+    FARFIELD_DEFAULT,
+    FRAME_LAGRANGIAN,
+    FRAME_RANK,
+    HYPERBOLICITY,
+    RANK_THRESHOLD,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .riccati import SymmetricChart
@@ -56,7 +65,6 @@ def validate_coefficients(
     b: np.ndarray,
     c: np.ndarray,
     d: np.ndarray,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> SymplecticCoefficients:
     """Check the sp(R^2n) block structure and return exact-structure blocks.
 
@@ -73,10 +81,10 @@ def validate_coefficients(
     a, b, c, d = blocks
     for name, blk in (("b", b), ("c", c)):
         defect = float(np.max(np.abs(blk - blk.T)))
-        if defect > tol.block_structure:
+        if defect > BLOCK_STRUCTURE:
             raise StructureError(f"not in sp(R^2n): block {name} asymmetric by {defect:.3e}")
     defect = float(np.max(np.abs(d + a.T)))
-    if defect > tol.block_structure:
+    if defect > BLOCK_STRUCTURE:
         raise StructureError(f"not in sp(R^2n): d + a^T deviates by {defect:.3e}")
     return SymplecticCoefficients(n=n, a=a, b=symmetrize(b), c=symmetrize(c), d=-a.T)
 
@@ -101,7 +109,7 @@ class CoefficientField:
     x_plus: float
     farfield_minus: Callable[[float], SymplecticCoefficients]
     farfield_plus: Callable[[float], SymplecticCoefficients]
-    farfield_tol: float = DEFAULT_TOLERANCES.farfield_default
+    farfield_tol: float = FARFIELD_DEFAULT
     name: str = ""
 
     def __post_init__(self) -> None:
@@ -121,6 +129,18 @@ class CoefficientField:
         if defect > self.farfield_tol:
             raise StructureError(f"field {self.name!r}: window ends differ from the far-field "
                                  f"limits by {defect:.3e} > {self.farfield_tol:.3e}")
+
+    def check_grid(self, grid: np.ndarray) -> np.ndarray:
+        """``grid`` as a float array, checked for integration: 1-d, at least
+        two points, strictly increasing, and inside [x_minus, x_plus] to
+        within 1e-12 of the span; ``StructureError`` otherwise."""
+        grid = np.asarray(grid, dtype=float)
+        if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
+            raise StructureError("grid must be strictly increasing with >= 2 points")
+        span = 1e-12 * (self.x_plus - self.x_minus)
+        if grid[0] < self.x_minus - span or grid[-1] > self.x_plus + span:
+            raise StructureError("grid extends outside [x_minus, x_plus]")
+        return grid
 
     def full_stack(self, x: np.ndarray, lam: float) -> np.ndarray:
         """The 2n x 2n coefficient matrices at every point of a 1-d ``x``,
@@ -164,12 +184,11 @@ class LagrangianFrame:
 
     q: np.ndarray
     p: np.ndarray
-    _tol: Tolerances = dataclass_field(default=DEFAULT_TOLERANCES, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "q", np.asarray(self.q, dtype=float))
         object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
-        q, p, tol = self.q, self.p, self._tol
+        q, p = self.q, self.p
         n = q.shape[0]
         if q.shape != (n, n) or p.shape != (n, n):
             raise StructureError("LagrangianFrame: q and p must be square of equal size")
@@ -177,10 +196,10 @@ class LagrangianFrame:
             raise StructureError("LagrangianFrame: non-finite entries")
         scale = max(1.0, float(np.max(np.abs(q))) * float(np.max(np.abs(p))))
         defect = float(np.max(np.abs(q.T @ p - p.T @ q)))
-        if defect > tol.frame_lagrangian * scale:
+        if defect > FRAME_LAGRANGIAN * scale:
             raise StructureError(f"LagrangianFrame: Lagrangian condition fails, defect {defect:.3e}")
         sv = np.linalg.svd(np.vstack([q, p]), compute_uv=False)
-        if sv[-1] <= tol.frame_rank * sv[0]:
+        if sv[-1] <= FRAME_RANK * sv[0]:
             raise StructureError(
                 f"LagrangianFrame: stacked frame rank-deficient (sv ratio {sv[-1]/sv[0]:.3e})")
 
@@ -206,19 +225,18 @@ def _rank(m: np.ndarray, rel_threshold: float) -> int:
     return int(np.sum(sv > rel_threshold * sv[0]))
 
 
-def total_frame_rank_loss(frame: LagrangianFrame, tol: Tolerances = DEFAULT_TOLERANCES) -> int:
+def total_frame_rank_loss(frame: LagrangianFrame) -> int:
     """Rank loss of q, equal to the rank loss of [[q, 0], [p, I]].
 
     This counts the dimension of intersection with the standard reference
     plane (0, I).
     """
-    return frame.n - _rank(frame.q, tol.rank_threshold)
+    return frame.n - _rank(frame.q, RANK_THRESHOLD)
 
 
 def farfield_frame(
     a_inf: SymplecticCoefficients,
     side: str,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> LagrangianFrame:
     """Orthonormal frame of the unstable or stable invariant subspace of A_inf.
 
@@ -231,7 +249,7 @@ def farfield_frame(
         raise ValueError(f"side must be 'unstable' or 'stable', got {side!r}")
     n = a_inf.n
     w, v = np.linalg.eig(a_inf.full())
-    if float(np.min(np.abs(w.real))) < tol.hyperbolicity:
+    if float(np.min(np.abs(w.real))) < HYPERBOLICITY:
         raise HyperbolicityError("far-field not hyperbolic (lambda may be in essential spectrum)")
     want = w.real > 0 if side == "unstable" else w.real < 0
     idx = np.nonzero(want)[0]
@@ -245,7 +263,7 @@ def farfield_frame(
         if i in used:
             continue
         used.add(i)
-        if abs(w[i].imag) <= tol.hyperbolicity:
+        if abs(w[i].imag) <= HYPERBOLICITY:
             cols.append(v[:, i].real)
             continue
         cols.append(v[:, i].real)
@@ -265,7 +283,7 @@ def farfield_frame(
     return LagrangianFrame(q=q_fact[:n], p=q_fact[n:])
 
 
-def chart_from_frame(frame: LagrangianFrame, tol: Tolerances = DEFAULT_TOLERANCES) -> "SymmetricChart":
+def chart_from_frame(frame: LagrangianFrame) -> "SymmetricChart":
     """Chart representative s = p q^{-1} of the plane spanned by the frame.
 
     Fails with ``ChartDomainError`` when q is (numerically) singular, i.e.
@@ -274,13 +292,13 @@ def chart_from_frame(frame: LagrangianFrame, tol: Tolerances = DEFAULT_TOLERANCE
     from .riccati import SymmetricChart
 
     cond_q = _cond2(frame.q)
-    if cond_q >= tol.cond_limit:
+    if cond_q >= COND_LIMIT:
         raise ChartDomainError("plane outside top cell: q is numerically singular")
     s = np.linalg.solve(frame.q.T, frame.p.T).T
     defect = float(np.max(np.abs(s - s.T)))
     scale = max(1.0, float(np.max(np.abs(s))))
     # near the chart boundary the solve loses ~eps*cond(q) relative accuracy
-    allowed = max(tol.chart_symmetry * scale, 100.0 * np.finfo(float).eps * cond_q * scale)
+    allowed = max(CHART_SYMMETRY * scale, 100.0 * np.finfo(float).eps * cond_q * scale)
     if defect > allowed:
         raise StructureError(f"chart not symmetric: defect {defect:.3e}")
     return SymmetricChart(symmetrize(s))

@@ -1,65 +1,44 @@
-"""Central tolerance configuration.
+"""Numerical thresholds.
 
-Every numerical gate in the package reads from one `Tolerances` record so the
-library, the self-test suite and the CLI agree on the same defaults.
+Every numerical gate in the package reads its threshold here.  Only
+``CHART_TOL`` can be set for a run (the CLI's ``--chart-tol``); functions
+whose result depends on it take ``chart_tol`` with this default.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, replace
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical tolerances shared by all modules.
-
-    Attributes
-    ----------
-    eig_orthonormality : max-norm bound on ``V^T V - I`` for eigenvector bases.
-    eig_reconstruction : relative max-norm bound on ``M - V diag(w) V^T``.
-    unitary_check : max-norm bound on ``u u^dag - I`` accepted by det_phase.
-    unitary_type : max-norm bound on the unitarity and symmetry defects of
-        UnitarySymmetric inputs and of every raw unitary-route step.
-    block_structure : absolute defect accepted when validating sp(R^2n) blocks.
-    frame_lagrangian : max-norm bound on ``q^T p - p^T q`` for frames.
-    frame_rank : relative singular-value floor for full-rank stacked frames.
-    rank_threshold : relative singular-value cutoff used by rank computations.
-    cond_limit : condition-number gate for chart inversions.
-    chart_symmetry : relative pre-symmetrization defect allowed in charts.
-    chart_tol : angular radius (radians) around -1 on the unit circle inside
-        which a Cayley eigenvalue counts as singular; equivalently
-        ``|mu| > cot(chart_tol / 2)``.
-    hyperbolicity : minimum ``|Re(eigenvalue)`` for a hyperbolic far field.
-    farfield_default : default far-field consistency tolerance for fields that
-        do not declare their own.
-    reproject_defect : unitarity defect above which integrate_unitary re-projects.
-    circle_consistency : bound on ``|exp(i theta) - det u|`` along unitary paths.
-    phase_match_reject : largest per-step phase motion accepted when tracking
-        eigenphases between samples.
-    end_flag_angle : principal-angle threshold (radians) below which the final
-        plane is flagged as intersecting the far-field reference plane.
-    """
-
-    eig_orthonormality: float = 1e-12
-    eig_reconstruction: float = 1e-10
-    unitary_check: float = 1e-8
-    unitary_type: float = 1e-10
-    block_structure: float = 1e-10
-    frame_lagrangian: float = 1e-10
-    frame_rank: float = 1e-10
-    rank_threshold: float = 1e-8
-    cond_limit: float = 1e12
-    chart_symmetry: float = 1e-8
-    chart_tol: float = 1e-3
-    hyperbolicity: float = 1e-8
-    farfield_default: float = 1e-8
-    reproject_defect: float = 1e-12
-    circle_consistency: float = 1e-8
-    phase_match_reject: float = 0.785398163397448  # pi/4
-    end_flag_angle: float = 1e-3
-
-    def with_overrides(self, **kwargs: float) -> "Tolerances":
-        return replace(self, **kwargs)
-
-
-DEFAULT_TOLERANCES = Tolerances()
+# max-norm bound on V^T V - I for eigenvector bases
+EIG_ORTHONORMALITY = 1e-12
+# relative max-norm bound on M - V diag(w) V^T
+EIG_RECONSTRUCTION = 1e-10
+# max-norm bound on u u^dag - I accepted by det_phase
+UNITARY_CHECK = 1e-8
+# max-norm bound on the unitarity and symmetry defects of UnitarySymmetric
+# inputs and of every raw unitary-route step
+UNITARY_TYPE = 1e-10
+# absolute defect accepted when validating sp(R^2n) blocks
+BLOCK_STRUCTURE = 1e-10
+# max-norm bound on q^T p - p^T q for frames
+FRAME_LAGRANGIAN = 1e-10
+# relative singular-value floor for full-rank stacked frames
+FRAME_RANK = 1e-10
+# relative singular-value cutoff used by rank computations
+RANK_THRESHOLD = 1e-8
+# condition-number gate for chart inversions
+COND_LIMIT = 1e12
+# relative pre-symmetrization defect allowed in charts
+CHART_SYMMETRY = 1e-8
+# angular radius (radians) around -1 on the unit circle inside which a Cayley
+# eigenvalue counts as singular; equivalently |mu| > cot(chart_tol / 2)
+CHART_TOL = 1e-3
+# minimum |Re(eigenvalue)| for a hyperbolic far field
+HYPERBOLICITY = 1e-8
+# default far-field consistency tolerance for fields that do not declare their own
+FARFIELD_DEFAULT = 1e-8
+# unitarity defect above which integrate_unitary re-projects
+REPROJECT_DEFECT = 1e-12
+# bound on |exp(i theta) - det u| along unitary paths
+CIRCLE_CONSISTENCY = 1e-8
+# largest per-step phase motion accepted when tracking eigenphases between samples
+PHASE_MATCH_REJECT = 0.785398163397448  # pi/4
+# principal-angle threshold (radians) below which the final plane is flagged
+# as intersecting the far-field reference plane
+END_FLAG_ANGLE = 1e-3

@@ -20,7 +20,7 @@ from .errors import StepSizeError, StructureError
 from .matrixkit import det_phase, mat_exp, sym_eig
 from .riccati import BLOCK_STEPS, ChartPath, SymmetricChart
 from .system import CoefficientField, LagrangianFrame, SymplecticCoefficients
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import CIRCLE_CONSISTENCY, REPROJECT_DEFECT, UNITARY_TYPE
 
 __all__ = [
     "UnitarySymmetric",
@@ -40,7 +40,6 @@ class UnitarySymmetric:
     """Unitary symmetric matrix (the Cayley image of a chart point)."""
 
     mat: np.ndarray
-    _tol: float = DEFAULT_TOLERANCES.unitary_type
 
     def __post_init__(self) -> None:
         m = np.asarray(self.mat, dtype=complex)
@@ -50,7 +49,7 @@ class UnitarySymmetric:
         n = m.shape[0]
         u_defect = float(np.max(np.abs(m @ m.conj().T - np.eye(n))))
         s_defect = float(np.max(np.abs(m - m.T)))
-        if u_defect > self._tol or s_defect > self._tol:
+        if u_defect > UNITARY_TYPE or s_defect > UNITARY_TYPE:
             raise StructureError(
                 f"not unitary symmetric: unitarity {u_defect:.3e}, symmetry {s_defect:.3e}")
 
@@ -106,13 +105,13 @@ class UnitaryPath:
     reprojected_steps: int = 0
 
 
-def cayley(s: SymmetricChart, tol: Tolerances = DEFAULT_TOLERANCES) -> UnitarySymmetric:
+def cayley(s: SymmetricChart) -> UnitarySymmetric:
     """Cayley transform u = (I - is)(I + is)^{-1}, evaluated spectrally.
 
     Eigenvalues map as mu -> (1 - i mu)/(1 + i mu); the result is exactly
     symmetric by construction.
     """
-    dec = sym_eig(s.mat, tol)
+    dec = sym_eig(s.mat)
     phases = (1.0 - 1j * dec.eigenvalues) / (1.0 + 1j * dec.eigenvalues)
     v = dec.eigenvectors
     return UnitarySymmetric((v * phases) @ v.T)
@@ -149,8 +148,6 @@ def integrate_unitary(
     lam: float,
     grid: np.ndarray,
     u0: UnitarySymmetric,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    reproject: bool = True,
 ) -> UnitaryPath:
     """Integrate the unitary flow over ``grid`` with the Lie-algebra Euler
     scheme and accumulate theta by -2i tr(sigma_step).
@@ -160,16 +157,15 @@ def integrate_unitary(
     u (D* + C* u) on unitary symmetric u, and then u -> exp(sigma) u
     exp(sigma)^T.  C and D, which do not depend on u, are computed
     ``BLOCK_STEPS`` steps at a time.  The unitarity and symmetry defects of
-    every raw product are measured: above ``tol.unitary_type`` they raise
-    ``StructureError``; above ``tol.reproject_defect`` the sample is
-    re-projected (polar factor, then symmetric averaging) when ``reproject``
-    is set.  Theta starts at the principal value of -i log det u0; the
-    sampled path satisfies exp(i theta_m) = det u_m up to roundoff, and the
-    worst circle defect is recorded and gated.
+    every raw product are measured: above ``UNITARY_TYPE`` they raise
+    ``StructureError``; above ``REPROJECT_DEFECT`` the sample is re-projected
+    (polar factor, then symmetric averaging).  The grid is checked by
+    :meth:`CoefficientField.check_grid`.  Theta starts at the principal
+    value of -i log det u0; the sampled path satisfies exp(i theta_m) =
+    det u_m up to roundoff, and the worst circle defect is recorded and
+    gated.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
-        raise StructureError("grid must be strictly increasing with >= 2 points")
+    grid = field.check_grid(grid)
     if u0.n != field.n:
         raise StructureError("initial u dimension disagrees with field")
 
@@ -196,12 +192,12 @@ def integrate_unitary(
             u_next = e @ u @ e.T
             u_defect = float(np.abs(u_next @ u_next.conj().T - eye).max())
             s_defect = float(np.abs(u_next - u_next.T).max())
-            if u_defect > tol.unitary_type or s_defect > tol.unitary_type:
+            if u_defect > UNITARY_TYPE or s_defect > UNITARY_TYPE:
                 raise StructureError(f"step {m} left the unitary symmetric matrices: "
                                      f"unitarity {u_defect:.3e}, symmetry {s_defect:.3e}")
             max_u_defect = max(max_u_defect, u_defect)
             max_s_defect = max(max_s_defect, s_defect)
-            if reproject and max(u_defect, s_defect) > tol.reproject_defect:
+            if max(u_defect, s_defect) > REPROJECT_DEFECT:
                 u_next = _polar_symmetric_project(u_next)
                 reprojected += 1
             sigmas[m + 1] = sigma
@@ -210,9 +206,9 @@ def integrate_unitary(
 
     # theta_{m+1} = theta_m - 2i tr(sigma_{m+1}), summed in step order
     increments = 2.0 * np.trace(sigmas[1:], axis1=1, axis2=2).imag
-    theta = np.cumsum(np.concatenate([[det_phase(u0.mat, tol)], increments]))
+    theta = np.cumsum(np.concatenate([[det_phase(u0.mat)], increments]))
     circle = float(np.max(np.abs(np.exp(1j * theta) - np.linalg.det(us))))
-    if circle > tol.circle_consistency:
+    if circle > CIRCLE_CONSISTENCY:
         raise StructureError(
             f"theta/determinant circle consistency broken: defect {circle:.3e}")
     trace = ThetaTrace(grid=grid, theta=theta, theta0=float(theta[0]))

@@ -1,7 +1,8 @@
 """Acceptance criteria, one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
-lines; tolerances are pinned here and nowhere else.
+lines.  Seeds, cases and bounds are pinned here and nowhere else; criteria 2,
+3, 4 and 6 run the ``maslovflow selftest`` checks on these inputs.
 """
 
 import time
@@ -10,23 +11,21 @@ import numpy as np
 import pytest
 
 from maslovflow import (
-    SymmetricChart,
     chart_from_frame,
-    det_phase,
     farfield_frame,
     get_model,
     integrate_chart,
     integrate_unitary,
-    cayley,
     refine_eigenvalue,
-    singular_eigenvalue_count,
     sweep_lambda,
-    sym_arctan,
-    total_frame_rank_loss,
     unitary_from_frame,
 )
-from maslovflow.matrixkit import symmetrize
-from maslovflow.selftest import planted_rank_loss_frame, theta_via_trace_formula
+from maslovflow.selftest import (
+    check_route_agreement,
+    check_theorem1,
+    check_trace_formula,
+    check_unitarity_drift,
+)
 
 
 def _report(criterion: int, passed: bool, detail: str) -> None:
@@ -63,37 +62,16 @@ def test_criterion_1_kdv7_eigenvalue_count():
 def test_criterion_2_trace_formula():
     """|arg det Cay(s) + 2 tr arctan(s)| mod 2 pi below 1e-10 for 200 random
     symmetric matrices with n in 1..6 and entries in [-5, 5]."""
-    rng = np.random.default_rng(42)
-    worst = 0.0
-    for _ in range(200):
-        n = int(rng.integers(1, 7))
-        s_mat = symmetrize(rng.uniform(-5.0, 5.0, size=(n, n)))
-        lhs = det_phase(cayley(SymmetricChart(s_mat)).mat)
-        rhs = -2.0 * float(np.trace(sym_arctan(s_mat)))
-        defect = abs(float((lhs - rhs + np.pi) % (2.0 * np.pi) - np.pi))
-        worst = max(worst, defect)
-    passed = worst < 1e-10
-    _report(2, passed, f"max defect {worst:.3e} over 200 draws (bound 1e-10)")
-    assert passed
+    report = check_trace_formula(np.random.default_rng(42), 1e-10)
+    _report(2, report.passed, f"max defect {report.max_defect:.3e} over 200 draws (bound 1e-10)")
+    assert report.passed
 
 
 def test_criterion_3_theorem1_equivalence():
     """50 synthetic frames with planted rank losses k in {0,1,2,3} (n = 4):
     singular eigenvalue count = n - rank(q) = total-frame rank loss."""
-    rng = np.random.default_rng(7)
-    n = 4
-    mismatches = 0
-    for i in range(50):
-        k = i % 4
-        frame = planted_rank_loss_frame(n, k, rng)
-        chart = chart_from_frame(frame)
-        c_sing = singular_eigenvalue_count(chart)
-        c_rank = total_frame_rank_loss(frame)
-        stacked = np.block([[frame.q, np.zeros((n, n))], [frame.p, np.eye(n)]])
-        sv = np.linalg.svd(stacked, compute_uv=False)
-        c_total = 2 * n - int(np.sum(sv > 1e-8 * sv[0]))
-        if not (c_sing == c_rank == c_total == k):
-            mismatches += 1
+    report = check_theorem1(np.random.default_rng(7), 0.5)
+    mismatches = int(report.max_defect)
     passed = mismatches == 0
     _report(3, passed, f"{50 - mismatches}/50 frames with all three counts equal")
     assert passed
@@ -101,17 +79,11 @@ def test_criterion_3_theorem1_equivalence():
 
 def test_criterion_4_unitary_flow_robustness():
     """kdv7 at lambda = 0.15 over 1e4 steps without re-projection: unitarity
-    and symmetry defects both below 1e-9."""
-    field = get_model("kdv7")
-    grid = np.linspace(-20.0, 20.0, 10_001)
-    u0 = unitary_from_frame(farfield_frame(field.farfield_minus(0.15), "unstable"))
-    path = integrate_unitary(field, 0.15, grid, u0, reproject=False)
-    passed = (path.max_unitarity_defect < 1e-9 and path.max_symmetry_defect < 1e-9
-              and path.reprojected_steps == 0)
-    _report(4, passed,
-            f"unitarity defect {path.max_unitarity_defect:.3e}, "
-            f"symmetry defect {path.max_symmetry_defect:.3e} (bounds 1e-9)")
-    assert passed
+    and symmetry defects both below 1e-9, and no step re-projected."""
+    report = check_unitarity_drift(1e-9)
+    _report(4, report.passed,
+            f"unitarity and symmetry defect {report.max_defect:.3e} (bound 1e-9; {report.detail})")
+    assert report.passed
 
 
 def test_criterion_5_oracle_eigenvalue_counting():
@@ -140,24 +112,10 @@ def test_criterion_6_route_agreement():
     cases = [("poschl_teller:2", -5.0), ("poschl_teller:2", -2.0),
              ("poschl_teller:2", -0.5), ("kdv7", -0.25), ("kdv7", 0.05),
              ("kdv7", 0.15)]
-    worst = 0.0
-    for name, lam in cases:
-        field = get_model(name)
-        grid = np.linspace(field.x_minus, field.x_plus, 4001)
-        u0 = unitary_from_frame(farfield_frame(field.farfield_minus(lam), "unstable"))
-        path = integrate_unitary(field, lam, grid, u0)
-        base, keep = theta_via_trace_formula(path.us)
-        anchor = int(np.nonzero(keep)[0][0])
-        offset = float(path.theta_trace.theta[anchor] - base[anchor])
-        offset = round(offset / (2.0 * np.pi)) * 2.0 * np.pi
-        breaks = np.nonzero(~keep)[0]
-        after = breaks[breaks > anchor]
-        lim = int(after[0]) if after.size else len(grid)
-        diff = np.abs(path.theta_trace.theta[anchor:lim] - (base[anchor:lim] + offset))
-        worst = max(worst, float(np.max(diff)))
-    passed = worst < 1e-5
-    _report(6, passed, f"max route gap {worst:.3e} over {len(cases)} traces (bound 1e-5)")
-    assert passed
+    report = check_route_agreement(cases, 1e-5)
+    _report(6, report.passed,
+            f"max route gap {report.max_defect:.3e} over {len(cases)} traces (bound 1e-5)")
+    assert report.passed
 
 
 def test_criterion_7_stepper_convergence():

@@ -72,6 +72,25 @@ class TestTrace:
         assert "far-field" in capsys.readouterr().err
         assert not (tmp_path / "narrow.csv").exists()
 
+    def test_window_cutting_the_poschl_teller_well_rejected(self, tmp_path, capsys):
+        # at [-1, 1] the window ends sit inside the well (V = -2.5), which
+        # counted 1 of the 2 eigenvalues below -0.5 with exit 0
+        rc = main(["trace", "--model", "poschl_teller:2", "--lambda", "-0.5",
+                   "--backend", "unitary", "--x-range=-1:1", "--step", "0.01",
+                   "--out", str(tmp_path / "narrow.csv")])
+        assert rc == EXIT_NUMERICAL
+        assert "far-field" in capsys.readouterr().err
+        assert not (tmp_path / "narrow.csv").exists()
+
+    def test_poschl_teller_window_reaching_the_tail_counts(self, tmp_path):
+        out = tmp_path / "pt.csv"
+        rc = main(["trace", "--model", "poschl_teller:2", "--lambda", "-0.5",
+                   "--x-range=-6:6", "--step", "0.01", "--out", str(out)])
+        assert rc == EXIT_OK
+        content = _read(out)
+        assert "init=farfield" in content
+        assert "# crossings: 2" in content
+
     def test_numerical_failure_exits_5(self, tmp_path, capsys):
         rc = main(["trace", "--model", "poschl_teller:3", "--lambda", "-5", "--step", "0.5",
                    "--backend", "unitary", "--out", str(tmp_path / "coarse.csv")])
@@ -154,7 +173,7 @@ class TestSweep:
         import maslovflow.cli as cli_mod
         from maslovflow.maslov import SweepRow, SweepTable
 
-        def fake_sweep(spec, lambdas, grid, backend="both", workers=1, tol=None):
+        def fake_sweep(spec, lambdas, grid, backend="both", workers=1, chart_tol=None):
             rows = (SweepRow(lam=-2.0, status="disagree", reason="chart=1 unitary=2",
                              theta_end=0.0, crossing_count=2, end_flag=False),
                     SweepRow(lam=-1.0, status="ok", reason="", theta_end=0.0,
@@ -219,6 +238,17 @@ class TestSelftest:
             assert rc != 0, prop
             lines = capsys.readouterr().out.splitlines()
             assert [ln.split()[1] for ln in lines if ln.startswith("FAIL")] == [prop + ":"]
+
+    def test_unitarity_drift_fails_when_a_step_is_reprojected(self, monkeypatch):
+        # the property measures the unprojected scheme: a re-projected step
+        # hides drift, so the check must fail however small the defects
+        import maslovflow.unitary as unitary_mod
+        from maslovflow.selftest import check_unitarity_drift
+
+        monkeypatch.setattr(unitary_mod, "REPROJECT_DEFECT", 0.0)
+        report = check_unitarity_drift(1e-9)
+        assert not report.passed
+        assert "re-projected" in report.detail
 
 
 class TestConfigPrecedence:

@@ -23,6 +23,7 @@ from maslovflow import (
     sweep_lambda,
 )
 from maslovflow.errors import StepSizeError, StructureError
+from maslovflow.tolerances import CHART_TOL
 
 
 def _grid(n=4001, lo=-20.0, hi=20.0):
@@ -133,21 +134,19 @@ class TestRunTrace:
 
     def test_end_flag_fires_for_edge_crossing(self):
         from maslovflow.maslov import _end_of_interval_flag
-        from maslovflow import DEFAULT_TOLERANCES as tol
 
         grid = np.linspace(0.0, 1.0, 101)
         crossings = [CrossingRecord(x=0.995, multiplicity=1, direction=1)]
         u_end = np.eye(1, dtype=complex)
-        flag, _ = _end_of_interval_flag(crossings, grid, u_end, None, tol)
+        flag, _ = _end_of_interval_flag(crossings, grid, u_end, None, CHART_TOL)
         assert flag
 
     def test_end_flag_fires_when_final_plane_hugs_train(self):
         from maslovflow.maslov import _end_of_interval_flag
-        from maslovflow import DEFAULT_TOLERANCES as tol
 
         grid = np.linspace(0.0, 1.0, 101)
         u_end = np.diag([np.exp(1j * (np.pi - 5e-4)), 1.0 + 0j])
-        flag, _ = _end_of_interval_flag([], grid, u_end, None, tol)
+        flag, _ = _end_of_interval_flag([], grid, u_end, None, CHART_TOL)
         assert flag
 
     def test_end_flag_quiet_away_from_eigenvalues(self):
@@ -235,10 +234,10 @@ class TestSweep:
         clean = sweep_lambda("poschl_teller:2", lam_grid, _grid(1001), backend="unitary")
         real = maslov_mod._sweep_row
 
-        def failing(field, lam, grid, backend, tol):
+        def failing(field, lam, grid, backend, chart_tol):
             if lam == lam_grid[1]:
                 raise StepSizeError("forced")
-            return real(field, lam, grid, backend, tol)
+            return real(field, lam, grid, backend, chart_tol)
 
         # a row that errors drops out, so its neighbours bracket the jump
         monkeypatch.setattr(maslov_mod, "_sweep_row", failing)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from maslovflow import (
-    DEFAULT_TOLERANCES,
     StructureError,
     SymmetricChart,
     chart_from_frame,
@@ -17,6 +16,7 @@ from maslovflow import (
 )
 from maslovflow.riccati import BLOCK_STEPS, _mobius_apply
 from maslovflow.selftest import planted_rank_loss_frame
+from maslovflow.tolerances import CHART_TOL
 from conftest import constant_field, random_lagrangian_frame
 from oracles import (
     poschl_teller_potential,
@@ -212,7 +212,7 @@ class TestIntegrateChart:
             integrate_chart(field, -2.0, np.array([-30.0, 0.0]), s0)
 
 
-def _chart_per_step(field, lam, grid, s0, tol=DEFAULT_TOLERANCES):
+def _chart_per_step(field, lam, grid, s0):
     """Reference chart path one step at a time: the scalar field evaluation,
     one propagator and one _mobius_apply per step."""
     s, charts, flagged, worst = s0.mat, [s0.mat], [], 0.0
@@ -220,7 +220,7 @@ def _chart_per_step(field, lam, grid, s0, tol=DEFAULT_TOLERANCES):
         h = grid[m + 1] - grid[m]
         phi = mat_exp(h * field.evaluate(grid[m] + 0.5 * h, lam).full())
         s, cond, defect = _mobius_apply(s, phi)
-        if cond > 1.0 / tol.chart_tol:
+        if cond > 1.0 / CHART_TOL:
             flagged.append(m + 1)
         worst = max(worst, defect)
         charts.append(s)

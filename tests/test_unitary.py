@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from maslovflow import (
-    DEFAULT_TOLERANCES,
     StructureError,
     SymmetricChart,
     ThetaTrace,
@@ -18,6 +17,7 @@ from maslovflow import (
     mat_exp,
     poschl_teller_field,
     rotated_coefficients,
+    run_trace,
     sym_eig,
     theta_from_chart,
     unitary_from_frame,
@@ -26,6 +26,7 @@ from maslovflow import (
 from maslovflow.errors import StepSizeError
 from maslovflow.matrixkit import symmetrize
 from maslovflow.riccati import BLOCK_STEPS
+from maslovflow.tolerances import REPROJECT_DEFECT
 from maslovflow.unitary import _polar_symmetric_project
 from conftest import constant_field, random_lagrangian_frame
 from oracles import riccati_rhs
@@ -216,19 +217,22 @@ class TestIntegrateUnitary:
         dtheta = 2.0 * np.imag(np.trace(path.sigmas, axis1=1, axis2=2))
         assert np.max(np.abs(np.diff(path.theta_trace.theta) - dtheta[1:])) < 1e-12
 
-    def test_structure_gate_raises_above_unitary_type(self):
+    def test_structure_gate_raises_above_unitary_type(self, monkeypatch):
+        import maslovflow.unitary as unitary_mod
+
         field = kdv7_field()
         u0 = unitary_from_frame(farfield_frame(field.farfield_minus(0.15), "unstable"))
-        tight = DEFAULT_TOLERANCES.with_overrides(unitary_type=1e-17)
-        with pytest.raises(StructureError, match="unitary symmetric"):
-            integrate_unitary(field, 0.15, np.linspace(-20, 20, 401), u0, tol=tight)
+        with monkeypatch.context() as patch:
+            patch.setattr(unitary_mod, "UNITARY_TYPE", 1e-17)
+            with pytest.raises(StructureError, match="unitary symmetric"):
+                integrate_unitary(field, 0.15, np.linspace(-20, 20, 401), u0)
         integrate_unitary(field, 0.15, np.linspace(-20, 20, 401), u0)
 
     def test_drift_and_circle_consistency(self):
         field = kdv7_field()
         grid = np.linspace(-20, 20, 10_001)
         u0 = unitary_from_frame(farfield_frame(field.farfield_minus(0.15), "unstable"))
-        path = integrate_unitary(field, 0.15, grid, u0, reproject=False)
+        path = integrate_unitary(field, 0.15, grid, u0)
         assert path.max_unitarity_defect < 1e-9
         assert path.max_symmetry_defect < 1e-9
         assert path.max_circle_defect < 1e-7
@@ -241,12 +245,25 @@ class TestIntegrateUnitary:
         assert -np.pi < path.theta_trace.theta0 <= np.pi
         assert abs(np.exp(1j * path.theta_trace.theta0) - np.linalg.det(u0.mat)) < 1e-12
 
+    def test_rejects_bad_grid(self):
+        # the chart route's grid checks: the unitary route used to integrate a
+        # grid reaching past the field's window
+        field = poschl_teller_field(2)
+        u0 = UnitarySymmetric(np.eye(1, dtype=complex))
+        with pytest.raises(StructureError, match="strictly increasing"):
+            integrate_unitary(field, -2.0, np.array([0.0, -1.0]), u0)
+        wide = np.linspace(-30.0, 30.0, 6001)
+        with pytest.raises(StructureError, match="outside"):
+            integrate_unitary(field, -0.5, wide, u0)
+        with pytest.raises(StructureError, match="outside"):
+            run_trace(field, -0.5, wide, backend="unitary")
+
     def test_theta_trace_rejects_big_steps(self):
         with pytest.raises(StepSizeError):
             ThetaTrace(grid=np.array([0.0, 1.0]), theta=np.array([0.0, 4.0]), theta0=0.0)
 
 
-def _unitary_per_step(field, lam, grid, u0, tol=DEFAULT_TOLERANCES):
+def _unitary_per_step(field, lam, grid, u0):
     """Reference unitary path one step at a time: the scalar field
     evaluation, rotated coefficients and the Euler step of every sample."""
     u, us, sigmas = u0.mat, [u0.mat], [np.zeros_like(u0.mat)]
@@ -260,7 +277,7 @@ def _unitary_per_step(field, lam, grid, u0, tol=DEFAULT_TOLERANCES):
         u = e @ u @ e.T
         defect = max(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))),
                      np.max(np.abs(u - u.T)))
-        if defect > tol.reproject_defect:
+        if defect > REPROJECT_DEFECT:
             u = _polar_symmetric_project(u)
         theta.append(theta[-1] + 2.0 * float(np.imag(np.trace(sigma))))
         us.append(u)
