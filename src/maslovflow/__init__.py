@@ -41,7 +41,6 @@ from .models import (
     kdv7_coefficients,
     kdv7_field,
     kdv7_wave,
-    poschl_teller_eigenvalues,
     poschl_teller_field,
 )
 from .riccati import (

@@ -23,7 +23,7 @@ from .errors import BackendDisagreementError, ConfigError, MaslovError, ModelErr
 from .maslov import BACKENDS, refine_eigenvalue, run_trace, sweep_lambda
 from .models import ModelSpec, get_model
 from .selftest import SELFTEST_PROPERTIES, run_selftest
-from .tolerances import CHART_TOL
+from .tolerances import CHART_TOL, check_chart_tol
 from .unitary import cayley
 
 EXIT_OK = 0
@@ -103,9 +103,10 @@ class RunConfig:
         if workers < 1:
             raise ConfigError("workers must be >= 1")
         chart_tol = float(cfg["chart_tol"])
+        check_chart_tol(chart_tol)
         tol_lambda = float(cfg["tol_lambda"])
-        if chart_tol <= 0 or tol_lambda <= 0:
-            raise ConfigError("tolerances must be positive")
+        if tol_lambda <= 0:
+            raise ConfigError("tol_lambda must be positive")
         step = cfg.get("step")
         if step is not None and float(step) <= 0:
             raise ConfigError("step must be positive")
@@ -269,7 +270,6 @@ def cmd_trace(cfg: RunConfig) -> int:
         res = trace.result
         fh.write(f"# crossings: {res.unsigned_count}\n")
         fh.write(f"# signed_index: {res.signed_index}\n")
-        fh.write(f"# sign_incomplete: {str(res.sign_incomplete).lower()}\n")
         fh.write(f"# end_flag: {str(trace.end_flag).lower()} (dimension {trace.end_dimension})\n")
     print(f"trace written to {out_path} ({grid.size} rows, "
           f"{res.unsigned_count} crossings, init={trace.init_mode})")
@@ -397,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("auto", "farfield", "identity"),
                        help="initial plane for trace (default auto)")
         p.add_argument("--chart-tol", dest="chart_tol", type=float, default=None,
-                       help="singularity detection angle on the circle (default 1e-3)")
+                       help="singularity detection angle on the circle, in (0, pi) (default 1e-3)")
         p.add_argument("--tol-lambda", dest="tol_lambda", type=float, default=None,
                        help="bisection width for refine (default 1e-3)")
         p.add_argument("--config", type=str, default=None, help="JSON config file")

@@ -9,7 +9,6 @@ integer jumps of the crossing count as the spectral parameter increases.
 
 from __future__ import annotations
 
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -26,7 +25,7 @@ from .errors import (
 from .models import ModelSpec, get_model
 from .riccati import ChartPath, SymmetricChart, integrate_chart
 from .system import CoefficientField, LagrangianFrame, chart_from_frame, farfield_frame
-from .tolerances import CHART_TOL, END_FLAG_ANGLE, PHASE_MATCH_REJECT
+from .tolerances import CHART_TOL, END_FLAG_ANGLE, PHASE_MATCH_REJECT, check_chart_tol
 from .unitary import (
     ThetaTrace,
     UnitaryPath,
@@ -58,11 +57,10 @@ BACKENDS = ("chart", "unitary", "both")
 
 @dataclass(frozen=True)
 class CrossingRecord:
-    """One detected reference-plane intersection.
+    """Passages of eigenphases of u through pi within one grid step.
 
     ``direction`` follows the declared sign convention: an eigenphase of u
-    increasing through pi counts +1; 0 means the direction could not be
-    attributed (tangential or unresolved multiple crossing).
+    increasing through pi counts +1.
     """
 
     x: float
@@ -72,22 +70,18 @@ class CrossingRecord:
     def __post_init__(self) -> None:
         if self.multiplicity < 1:
             raise StructureError("crossing multiplicity must be >= 1")
-        if self.direction not in (-1, 0, 1):
-            raise StructureError("crossing direction must be -1, 0 or +1")
+        if self.direction not in (-1, 1):
+            raise StructureError("crossing direction must be -1 or +1")
 
 
 @dataclass(frozen=True)
 class MaslovResult:
-    """Crossings with their unsigned and signed totals.
-
-    ``sign_incomplete`` is set when any crossing carries direction 0; such
-    crossings contribute to ``unsigned_count`` only.
-    """
+    """Crossings with their unsigned and signed totals, and the angle they
+    were counted from."""
 
     crossings: tuple[CrossingRecord, ...]
     unsigned_count: int
     signed_index: int
-    sign_incomplete: bool
     theta_trace: ThetaTrace | None = None
 
 
@@ -98,108 +92,17 @@ def maslov_index(
     """Assemble unsigned and signed totals from crossing records."""
     unsigned = sum(c.multiplicity for c in crossings)
     signed = sum(c.direction * c.multiplicity for c in crossings)
-    incomplete = any(c.direction == 0 for c in crossings)
     return MaslovResult(crossings=tuple(crossings), unsigned_count=unsigned,
-                        signed_index=signed, sign_incomplete=incomplete,
-                        theta_trace=theta_trace)
+                        signed_index=signed, theta_trace=theta_trace)
 
 
-def _track_phases(phases: np.ndarray, reject: float) -> np.ndarray:
-    """Continuously unwrap per-sample eigenphase sets by nearest matching.
+def detect_crossings(u_path: UnitaryPath) -> MaslovResult:
+    """Passages of spec(u) through -1 along a unitary path, counted from the
+    path's exact angle (see ``_count_from_angle``).
 
-    Returns an (nsamp, n) array of unwrapped phases; column i follows one
-    eigenphase branch across samples.
+    Consecutive samples of u must differ by less than 0.5 in every entry.
     """
-    # imported here: scipy.optimize costs most of the package's import time
-    from scipy.optimize import linear_sum_assignment
-
-    nsamp, n = phases.shape
-    unwrapped = np.empty_like(phases)
-    unwrapped[0] = phases[0]
-    prev = phases[0].copy()
-    prev_un = phases[0].copy()
-    two_pi = 2.0 * np.pi
-    for m in range(1, nsamp):
-        cur = phases[m]
-        dist = np.abs((cur[None, :] - prev[:, None] + np.pi) % two_pi - np.pi)
-        rows, cols = linear_sum_assignment(dist)
-        worst = float(dist[rows, cols].max())
-        if worst > reject:
-            raise StepSizeError(
-                f"phase tracking lost at sample {m}: step moved a phase by {worst:.3f} rad")
-        matched = cur[cols]
-        delta = (matched - prev + np.pi) % two_pi - np.pi
-        prev_un = prev_un + delta
-        unwrapped[m] = prev_un
-        prev = matched
-    return unwrapped
-
-
-def _crossings_from_phase_tracks(
-    unwrapped: np.ndarray,
-    grid: np.ndarray,
-) -> list[CrossingRecord]:
-    """Extract passages of unwrapped phase tracks through pi (mod 2 pi)."""
-    nsamp, n = unwrapped.shape
-    # track index -> (step, interpolated x, direction)
-    events: dict[int, list[tuple[float, int]]] = {}
-    level = (unwrapped - np.pi) / (2.0 * np.pi)
-    floors = np.floor(level)
-    for i in range(n):
-        (steps,) = np.nonzero(floors[1:, i] != floors[:-1, i])
-        for m in steps:
-            lo, hi = level[m, i], level[m + 1, i]
-            direction = 1 if hi > lo else -1
-            target = max(floors[m, i], floors[m + 1, i])  # the integer crossed
-            frac = (target - lo) / (hi - lo)
-            x_cross = grid[m] + frac * (grid[m + 1] - grid[m])
-            events.setdefault(int(m), []).append((float(x_cross), direction))
-    records: list[CrossingRecord] = []
-    for m in sorted(events):
-        evs = events[m]
-        multiplicity = len(evs)
-        directions = {d for _, d in evs}
-        x_mean = float(np.mean([x for x, _ in evs]))
-        if len(directions) == 1:
-            direction = directions.pop()
-        else:
-            direction = 0
-            warnings.warn(f"opposite-direction crossings within one step near x={x_mean:.4f}; "
-                          "direction recorded as 0", stacklevel=3)
-        records.append(CrossingRecord(x=x_mean, multiplicity=multiplicity, direction=direction))
-    return records
-
-
-def _phases_ambiguous(phases: np.ndarray, step: int, resolution: float) -> bool:
-    for m in (step, step + 1):
-        p = np.sort(phases[m])
-        if p.size > 1 and float(np.min(np.diff(p))) < resolution:
-            return True
-    return False
-
-
-def detect_crossings(
-    u_path: np.ndarray | UnitaryPath,
-    grid: np.ndarray | None = None,
-    chart_tol: float = CHART_TOL,
-) -> list[CrossingRecord]:
-    """Detect passages of spec(u) through -1 along a unitary path.
-
-    Eigenphases are tracked between samples by nearest matching (rejection
-    threshold ``PHASE_MATCH_REJECT``); a crossing is recorded when a
-    tracked phase passes pi, with multiplicity the number of phases crossing
-    in the same step and direction the sign of the phase velocity.  Crossings
-    whose phases sit closer than ``chart_tol`` get direction 0 and a
-    warning.
-    """
-    if isinstance(u_path, UnitaryPath):
-        us = u_path.us
-        grid = u_path.grid if grid is None else np.asarray(grid, dtype=float)
-    else:
-        us = np.asarray(u_path)
-        if grid is None:
-            raise ConfigError("grid required when u_path is a raw array")
-        grid = np.asarray(grid, dtype=float)
+    us, grid = u_path.us, u_path.grid
     if us.shape[0] != grid.size:
         raise StructureError("u path and grid lengths disagree")
     jumps = np.max(np.abs(np.diff(us, axis=0)), axis=(1, 2))
@@ -207,43 +110,68 @@ def detect_crossings(
         raise StepSizeError(
             f"consecutive u samples differ by {float(np.max(jumps)):.3f} >= 0.5; refine the grid")
     phases = np.angle(np.linalg.eigvals(us))
-    phases = np.sort(phases, axis=1)
-    return _detect_from_phases(phases, grid, chart_tol)
+    return _count_from_angle(phases, u_path.theta_trace, grid)
 
 
-def crossings_from_chart(
-    path: ChartPath,
-    chart_tol: float = CHART_TOL,
-) -> list[CrossingRecord]:
+def crossings_from_chart(path: ChartPath) -> MaslovResult:
     """Crossings along a chart path: eigenvalues of s through infinity.
 
     Uses the circle coordinates -2 arctan(mu), which are the eigenphases of
-    Cay(s); a passage of mu through +-infinity is a passage of the phase
-    through pi, so chart and unitary routes count identically.
+    Cay(s), and the angle ``theta_from_chart`` unwinds from them; a passage
+    of mu through +-infinity is a passage of the phase through pi, so chart
+    and unitary routes count identically.
     """
-    phases = np.sort(-2.0 * np.arctan(path.eigen_trace.mu), axis=1)
-    return _detect_from_phases(phases, path.grid, chart_tol)
+    phases = -2.0 * np.arctan(path.eigen_trace.mu)
+    return _count_from_angle(phases, theta_from_chart(path), path.grid)
 
 
-def _detect_from_phases(
+def _count_from_angle(
     phases: np.ndarray,
+    theta: ThetaTrace,
     grid: np.ndarray,
-    chart_tol: float,
-) -> list[CrossingRecord]:
-    unwrapped = _track_phases(phases, PHASE_MATCH_REJECT)
-    records = _crossings_from_phase_tracks(unwrapped, grid)
-    out: list[CrossingRecord] = []
-    for rec in records:
-        step = int(np.searchsorted(grid, rec.x, side="right") - 1)
-        step = min(max(step, 0), phases.shape[0] - 2)
-        if (rec.direction != 0 and rec.multiplicity > 1
-                and _phases_ambiguous(phases, step, chart_tol)):
-            warnings.warn(
-                f"crossing near x={rec.x:.4f} involves phases closer than the resolution; "
-                "direction recorded as 0", stacklevel=2)
-            rec = CrossingRecord(x=rec.x, multiplicity=rec.multiplicity, direction=0)
-        out.append(rec)
-    return out
+) -> MaslovResult:
+    """Crossings from the principal eigenphases (N, n) of u and the angle
+    theta (the sum of the continuous eigenphases).
+
+    Over step m the net number of eigenphases passing pi upward is
+    k = (dtheta - d sum(phases)) / 2 pi, an integer.  With the phases sorted
+    in (-pi, pi], the one consistent matching is a cyclic shift by k: sorted
+    phase i at sample m continues as phase (i + k) mod n at sample m + 1,
+    lifted by 2 pi floor((i + k) / n), and its motions sum to dtheta.  A step
+    with k != 0 gives one record of multiplicity |k| and direction sign(k) at
+    the mean of the linearly interpolated passages of its wrapping pairs.
+    A step is refused (``StepSizeError``) when a matched motion exceeds
+    ``PHASE_MATCH_REJECT`` or the motions sum in absolute value to pi or
+    more, beyond which an unwound theta could pick another matching.
+    """
+    phases = np.sort(np.where(phases == -np.pi, np.pi, phases), axis=1)
+    n = phases.shape[1]
+    two_pi = 2.0 * np.pi
+    k = np.rint((np.diff(theta.theta) - np.diff(phases.sum(axis=1))) / two_pi).astype(int)
+    shifted = np.arange(n) + k[:, None]
+    wraps = shifted // n
+    prev = phases[:-1]
+    cur = np.take_along_axis(phases[1:], shifted % n, axis=1) + two_pi * wraps
+    motion = np.abs(cur - prev)
+    worst, total = motion.max(axis=1), motion.sum(axis=1)
+    bad = np.flatnonzero((worst > PHASE_MATCH_REJECT) | (total >= np.pi))
+    if bad.size:
+        m = int(bad[0])
+        if worst[m] > PHASE_MATCH_REJECT:
+            raise StepSizeError(f"phase tracking lost at sample {m + 1}: "
+                                f"step moved a phase by {worst[m]:.3f} rad")
+        raise StepSizeError(f"phase tracking lost at sample {m + 1}: "
+                            f"step moved the phases by {total[m]:.3f} rad in all, >= pi")
+    records = []
+    for m in np.flatnonzero(k):
+        direction = int(np.sign(k[m]))
+        wrapping = wraps[m] != 0
+        lo, hi = prev[m, wrapping], cur[m, wrapping]
+        frac = (direction * np.pi - lo) / (hi - lo)
+        x = grid[m] + frac * (grid[m + 1] - grid[m])
+        records.append(CrossingRecord(x=float(np.mean(x)), multiplicity=abs(int(k[m])),
+                                      direction=direction))
+    return maslov_index(records, theta_trace=theta)
 
 
 def end_intersection_dimension(
@@ -364,24 +292,18 @@ def _run_row(
     if backend != "unitary":
         s0 = SymmetricChart(np.zeros((n, n))) if frame0 is None else chart_from_frame(frame0)
         chart_path = integrate_chart(field, lam, grid, s0, chart_tol)
-        crossings = crossings_from_chart(chart_path, chart_tol)
-        count_chart = sum(c.multiplicity for c in crossings)
+        result = crossings_from_chart(chart_path)
+        count_chart = result.unsigned_count
     if backend != "chart":
         u0 = UnitarySymmetric(np.eye(n, dtype=complex)) if frame0 is None else unitary_from_frame(frame0)
         u_path = integrate_unitary(field, lam, grid, u0)
-        crossings = detect_crossings(u_path, chart_tol=chart_tol)
-        count_unitary = sum(c.multiplicity for c in crossings)
-        theta = u_path.theta_trace
-        u_end = u_path.us[-1]
-    else:
-        theta = theta_from_chart(chart_path)
-        u_end = cayley(chart_path.chart(-1)).mat
-
-    end_flag, end_dim = _end_of_interval_flag(crossings, grid, u_end, u_ref, chart_tol)
+        result = detect_crossings(u_path)
+        count_unitary = result.unsigned_count
+    u_end = cayley(chart_path.chart(-1)).mat if u_path is None else u_path.us[-1]
+    end_flag, end_dim = _end_of_interval_flag(result.crossings, grid, u_end, u_ref, chart_tol)
     return TraceResult(lam=lam, grid=grid, backend=backend, init_mode=init_mode,
-                       theta=theta, unitary_path=u_path, chart_path=chart_path,
-                       result=maslov_index(crossings, theta_trace=theta),
-                       end_flag=end_flag, end_dimension=end_dim,
+                       theta=result.theta_trace, unitary_path=u_path, chart_path=chart_path,
+                       result=result, end_flag=end_flag, end_dimension=end_dim,
                        count_chart=count_chart, count_unitary=count_unitary)
 
 
@@ -407,6 +329,7 @@ def run_trace(
         raise ConfigError(f"backend must be one of {BACKENDS}, got {backend!r}")
     if init not in ("auto", "farfield", "identity"):
         raise ConfigError(f"init must be auto|farfield|identity, got {init!r}")
+    check_chart_tol(chart_tol)
     grid = np.asarray(grid, dtype=float)
     trace = _run_row(field, lam, grid, backend, _far_field_ends(field, lam, init), chart_tol)
     if backend == "both" and trace.count_chart != trace.count_unitary:
@@ -515,6 +438,7 @@ def sweep_lambda(
     """
     if backend not in BACKENDS:
         raise ConfigError(f"backend must be one of {BACKENDS}, got {backend!r}")
+    check_chart_tol(chart_tol)
     spec = ModelSpec.parse(model) if isinstance(model, str) else model
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     if lambda_grid.ndim != 1 or lambda_grid.size == 0:
@@ -574,6 +498,7 @@ def refine_eigenvalue(
     spec = ModelSpec.parse(model) if isinstance(model, str) else model
     if not lam_lo < lam_hi:
         raise ConfigError("need lam_lo < lam_hi")
+    check_chart_tol(chart_tol)
     field = get_model(spec)
     x_grid = np.asarray(x_grid, dtype=float)
 

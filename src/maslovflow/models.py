@@ -24,7 +24,6 @@ __all__ = [
     "kdv7_coefficients",
     "kdv7_field",
     "poschl_teller_field",
-    "poschl_teller_eigenvalues",
     "get_model",
     "MODEL_NAMES",
 ]
@@ -136,11 +135,6 @@ def kdv7_field(
     return CoefficientField(n=3, evaluate=evaluate, x_minus=x_minus, x_plus=x_plus,
                             farfield_minus=limit, farfield_plus=limit,
                             farfield_tol=_KDV7_FARFIELD_TOL, name="kdv7")
-
-
-def poschl_teller_eigenvalues(m: int) -> tuple[float, ...]:
-    """Closed-form bound states of V = -m(m+1) sech^2 x: {-j^2 : j = 1..m}."""
-    return tuple(-float(j * j) for j in range(m, 0, -1))
 
 
 def poschl_teller_field(

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import StructureError
 from .matrixkit import mat_exp, symmetrize
 from .system import CoefficientField
-from .tolerances import CHART_TOL
+from .tolerances import CHART_TOL, check_chart_tol
 
 # Steps whose state-independent work (field evaluation, propagators) is done
 # together; bounded so the stacks stay small on any grid.
@@ -123,6 +123,7 @@ def singular_eigenvalue_count(
 
     Equals the rank loss of q for the frame the chart represents.
     """
+    check_chart_tol(chart_tol)
     mu = np.linalg.eigvalsh(s.mat)
     return int(np.sum(np.abs(mu) > singular_threshold(chart_tol)))
 
@@ -153,6 +154,7 @@ def integrate_chart(
     step is retried as two half steps (the singular set is isolated) and
     the sample flagged.
     """
+    check_chart_tol(chart_tol)
     grid = field.check_grid(grid)
     if s0.n != field.n:
         raise StructureError("initial chart dimension disagrees with field")

@@ -19,7 +19,7 @@ from .matrixkit import det_phase, sym_arctan, symmetrize
 from .models import get_model
 from .riccati import SymmetricChart, singular_eigenvalue_count
 from .system import LagrangianFrame, chart_from_frame, farfield_frame, total_frame_rank_loss
-from .tolerances import CHART_TOL, RANK_THRESHOLD
+from .tolerances import CHART_TOL, RANK_THRESHOLD, check_chart_tol
 from .unitary import cayley, integrate_unitary, unitary_from_frame
 
 __all__ = [
@@ -222,6 +222,7 @@ def run_selftest(
     """Run the invariant suite; returns one report per property."""
     if corrupt is not None and corrupt not in SELFTEST_PROPERTIES:
         raise ValueError(f"unknown property {corrupt!r}; choose from {SELFTEST_PROPERTIES}")
+    check_chart_tol(chart_tol)
     bounds = dict(_BOUNDS)
     if corrupt is not None:
         bounds[corrupt] = 0.0

@@ -2,8 +2,13 @@
 
 Every numerical gate in the package reads its threshold here.  Only
 ``CHART_TOL`` can be set for a run (the CLI's ``--chart-tol``); functions
-whose result depends on it take ``chart_tol`` with this default.
+whose result depends on it take ``chart_tol`` with this default and refuse
+a value outside (0, pi) through :func:`check_chart_tol`.
 """
+
+import math
+
+from .errors import ConfigError
 
 # max-norm bound on V^T V - I for eigenvector bases
 EIG_ORTHONORMALITY = 1e-12
@@ -37,8 +42,17 @@ FARFIELD_DEFAULT = 1e-8
 REPROJECT_DEFECT = 1e-12
 # bound on |exp(i theta) - det u| along unitary paths
 CIRCLE_CONSISTENCY = 1e-8
-# largest per-step phase motion accepted when tracking eigenphases between samples
+# largest per-step motion of one eigenphase of u accepted when the sorted
+# phases of consecutive samples are matched by the shift the angle theta gives
 PHASE_MATCH_REJECT = 0.785398163397448  # pi/4
 # principal-angle threshold (radians) below which the final plane is flagged
 # as intersecting the far-field reference plane
 END_FLAG_ANGLE = 1e-3
+
+
+def check_chart_tol(chart_tol: float) -> None:
+    """Refuse (``ConfigError``) a chart singularity angle outside (0, pi); at
+    pi and beyond cot(chart_tol / 2) <= 0 and every eigenvalue would count as
+    singular."""
+    if not 0.0 < chart_tol < math.pi:
+        raise ConfigError(f"chart_tol must lie in (0, pi), got {chart_tol}")

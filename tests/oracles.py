@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the package's own numerics: the shooting
 oracle integrates the scalar ODE with scipy's adaptive RK, ranks come from
-plain SVD, the 2x2 eigenvalues from the quadratic formula, and the chart
-Riccati right-hand side is the formula itself.
+plain SVD, the 2x2 eigenvalues from the quadratic formula, the chart
+Riccati right-hand side is the formula itself, and passages through pi are
+read off continuous eigenphase branches one branch at a time.
 """
 
 from __future__ import annotations
@@ -27,6 +28,19 @@ def eig2x2_quadratic(m: np.ndarray) -> np.ndarray:
     mean = 0.5 * (a + c)
     disc = np.sqrt(0.25 * (a - c) ** 2 + b * b)
     return np.array([mean - disc, mean + disc])
+
+
+def branch_passages(branches: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Upward and downward passages through pi (mod 2 pi) per step of
+    continuous eigenphase branches (N, n); each an int array of N - 1.
+
+    A branch value b lies on the sheet ceil((b - pi) / 2 pi), the number of
+    times 2 pi must be taken off to bring it into (-pi, pi]; a passage is a
+    change of sheet.
+    """
+    sheets = np.ceil((np.asarray(branches) - np.pi) / (2.0 * np.pi))
+    jumps = np.diff(sheets, axis=0).astype(int)
+    return np.maximum(jumps, 0).sum(axis=1), np.maximum(-jumps, 0).sum(axis=1)
 
 
 def svd_rank(m: np.ndarray, rel_threshold: float = 1e-8) -> int:
@@ -118,6 +132,11 @@ def unstable_chart_fixed_point(a_full: np.ndarray) -> np.ndarray:
     q, p = basis[:n], basis[n:]
     s0 = p @ np.linalg.inv(q)
     return 0.5 * (s0 + s0.T)
+
+
+def poschl_teller_eigenvalues(m: int) -> tuple[float, ...]:
+    """Closed-form bound states of V = -m(m+1) sech^2 x: {-j^2 : j = 1..m}."""
+    return tuple(-float(j * j) for j in range(m, 0, -1))
 
 
 def poschl_teller_potential(m: int):

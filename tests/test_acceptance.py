@@ -26,6 +26,7 @@ from maslovflow.selftest import (
     check_trace_formula,
     check_unitarity_drift,
 )
+from oracles import poschl_teller_eigenvalues
 
 
 def _report(criterion: int, passed: bool, detail: str) -> None:
@@ -96,8 +97,9 @@ def test_criterion_5_oracle_eigenvalue_counting():
     two = len(table.detected_eigenvalues) == 2
     r1 = refine_eigenvalue("poschl_teller:2", -4.5, -3.5, x_grid, tol_lambda=1e-3)
     r2 = refine_eigenvalue("poschl_teller:2", -1.5, -0.5, x_grid, tol_lambda=1e-3)
-    ok1 = abs(r1.lam_star - (-4.0)) <= 1e-3
-    ok2 = abs(r2.lam_star - (-1.0)) <= 1e-3
+    ground, excited = poschl_teller_eigenvalues(2)
+    ok1 = abs(r1.lam_star - ground) <= 1e-3
+    ok2 = abs(r2.lam_star - excited) <= 1e-3
     passed = two and ok1 and ok2
     _report(5, passed,
             f"{len(table.detected_eigenvalues)} brackets; refined to "

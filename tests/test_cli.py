@@ -283,6 +283,16 @@ class TestConfigPrecedence:
         rows = [ln for ln in _read(out).splitlines() if not ln.startswith("#")][1:]
         assert len(rows) == 801
 
+    @pytest.mark.parametrize("chart_tol", ["0", "-1e-3", "3.1416", "4", "nan"])
+    def test_chart_tol_outside_zero_pi_exits_2(self, tmp_path, capsys, chart_tol):
+        # at pi and beyond cot(chart_tol / 2) <= 0 would flag every sample
+        rc = main(["trace", "--model", "poschl_teller:2", "--lambda=-5",
+                   f"--chart-tol={chart_tol}", "--step", "0.05",
+                   "--out", str(tmp_path / "t.csv")])
+        assert rc == EXIT_CONFIG
+        assert "chart_tol must lie in (0, pi)" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"modle": "kdv7"}), encoding="utf-8")

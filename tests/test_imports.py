@@ -1,13 +1,19 @@
-"""Every name a module of the package imports is used in that module.
+"""Imports of the package: every imported name is used, and numpy is the
+only third-party module it needs.
 
-Static check with the standard library only: each ``src/maslovflow/*.py`` is
-parsed with ``ast``. ``__init__.py`` (whose imports are re-exports), names
-listed in a module's ``__all__`` and ``from __future__`` imports are exempt.
-A name counts as used when it is read anywhere in the module, including in
-a string annotation.
+Static checks with the standard library only: each ``src/maslovflow/*.py`` is
+parsed with ``ast``. For the unused-name check, ``__init__.py`` (whose imports
+are re-exports), names listed in a module's ``__all__`` and ``from
+__future__`` imports are exempt. A name counts as used when it is read
+anywhere in the module, including in a string annotation. Beyond the
+standard library, a module may import numpy only. A subprocess then checks
+that importing the package and running one trace loads no scipy.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -72,3 +78,40 @@ def test_finds_an_unused_import():
     tree = ast.parse("import os\nfrom a import b, c as d\n"
                      "def f(x: 'd') -> None:\n    return b\n")
     assert {name for name in _imported(tree) if name not in _used(tree)} == {"os"}
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    """Top-level package of every absolute import in the module."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_imports_numpy_and_stdlib_only(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _imported_modules(tree) - sys.stdlib_module_names <= {"numpy"}
+
+
+def test_finds_a_nested_scipy_import():
+    tree = ast.parse("import numpy as np\nfrom . import a\n"
+                     "def f():\n    from scipy.optimize import x\n")
+    assert _imported_modules(tree) - sys.stdlib_module_names == {"numpy", "scipy"}
+
+
+def test_import_and_trace_leave_scipy_unloaded():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent),
+                                                        os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "import maslovflow as mf\n"
+            "trace = mf.run_trace(mf.get_model('poschl_teller:1'), -0.5,\n"
+            "                     np.linspace(-20, 20, 401), backend='both')\n"
+            "print(trace.result.unsigned_count, any(m.split('.')[0] == 'scipy' for m in sys.modules))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["1", "False"]

@@ -1,45 +1,63 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
+import warnings
 
 import numpy as np
 import pytest
-
-import maslovflow
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from maslovflow import (
+    ChartPath,
     ConfigError,
     CrossingRecord,
+    EigenTrace,
     HyperbolicityError,
     ModelSpec,
+    SymmetricChart,
+    ThetaTrace,
+    UnitaryPath,
     detect_crossings,
     crossings_from_chart,
     end_intersection_dimension,
     get_model,
+    integrate_chart,
     maslov_index,
     refine_eigenvalue,
     run_trace,
+    singular_eigenvalue_count,
     sweep_lambda,
 )
 from maslovflow.errors import StepSizeError, StructureError
+from maslovflow.maslov import _count_from_angle
+from maslovflow.selftest import run_selftest
 from maslovflow.tolerances import CHART_TOL
+from oracles import branch_passages
 
 
 def _grid(n=4001, lo=-20.0, hi=20.0):
     return np.linspace(lo, hi, n)
 
 
+def scripted_path(grid, branches, v=None):
+    """Unitary path u = V diag(exp(i branches)) V^T carrying its exact angle,
+    the sum of the continuous eigenphase branches (N, n)."""
+    branches = np.asarray(branches, dtype=float).reshape(grid.size, -1)
+    v = np.eye(branches.shape[1]) if v is None else v
+    us = np.einsum("ij,mj,kj->mik", v, np.exp(1j * branches), v)
+    theta = branches.sum(axis=1)
+    return UnitaryPath(grid=grid, us=us, sigmas=np.zeros_like(us),
+                       theta_trace=ThetaTrace(grid=grid, theta=theta, theta0=float(theta[0])),
+                       max_unitarity_defect=0.0, max_symmetry_defect=0.0,
+                       max_circle_defect=0.0)
+
+
 class TestDetectCrossings:
     def test_constant_path_has_none(self):
         grid = np.linspace(0, 1, 11)
-        us = np.tile(np.eye(2, dtype=complex), (11, 1, 1))
-        assert detect_crossings(us, grid) == []
+        assert detect_crossings(scripted_path(grid, np.zeros((11, 2)))).crossings == ()
 
     def test_scripted_scalar_crossing(self):
         grid = np.linspace(-0.5, 0.5, 101)
-        us = np.exp(1j * (np.pi + grid))[:, None, None]
-        crossings = detect_crossings(us, grid)
+        crossings = detect_crossings(scripted_path(grid, np.pi + grid)).crossings
         assert len(crossings) == 1
         rec = crossings[0]
         assert rec.multiplicity == 1
@@ -48,31 +66,29 @@ class TestDetectCrossings:
 
     def test_scripted_decreasing_crossing(self):
         grid = np.linspace(-0.5, 0.5, 101)
-        us = np.exp(1j * (np.pi - grid))[:, None, None]
-        crossings = detect_crossings(us, grid)
+        crossings = detect_crossings(scripted_path(grid, np.pi - grid)).crossings
         assert len(crossings) == 1
         assert crossings[0].direction == -1
 
     def test_double_crossing_multiplicity(self):
         grid = np.linspace(-0.5, 0.5, 101)
         phase = np.pi + grid
-        us = np.zeros((101, 2, 2), dtype=complex)
-        us[:, 0, 0] = np.exp(1j * phase)
-        us[:, 1, 1] = np.exp(1j * (phase + 0.3))
-        crossings = detect_crossings(us, grid)
+        crossings = detect_crossings(
+            scripted_path(grid, np.column_stack([phase, phase + 0.3]))).crossings
         assert sum(c.multiplicity for c in crossings) == 2
         assert all(c.direction == +1 for c in crossings)
 
     def test_coincident_double_crossing_single_record(self):
+        # two phases passing pi together: the angle counts both, one direction
         grid = np.linspace(-0.5, 0.5, 101)
-        us = np.zeros((101, 2, 2), dtype=complex)
-        us[:, 0, 0] = np.exp(1j * (np.pi + grid))
-        us[:, 1, 1] = np.exp(1j * (np.pi + grid))
-        with pytest.warns(UserWarning, match="resolution"):
-            crossings = detect_crossings(us, grid)
+        phase = np.pi + grid
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            crossings = detect_crossings(
+                scripted_path(grid, np.column_stack([phase, phase]))).crossings
         assert len(crossings) == 1
         assert crossings[0].multiplicity == 2
-        assert crossings[0].direction == 0
+        assert crossings[0].direction == +1
 
     @pytest.mark.parametrize("lam,expected", [(-5.0, 0), (-2.0, 1), (-0.5, 2)])
     def test_poschl_teller_counts(self, lam, expected):
@@ -81,14 +97,120 @@ class TestDetectCrossings:
         assert trace.result.unsigned_count == expected
 
     def test_big_step_rejected(self):
-        from maslovflow.errors import StepSizeError
-
         grid = np.linspace(0, 1, 3)
-        us = np.stack([np.eye(1, dtype=complex),
-                       -np.eye(1, dtype=complex),
-                       np.eye(1, dtype=complex)])
-        with pytest.raises(StepSizeError):
-            detect_crossings(us, grid)
+        with pytest.raises(StepSizeError, match="u samples differ by 0.591"):
+            detect_crossings(scripted_path(grid, [0.0, 0.6, 1.2]))
+
+    def test_phase_motion_gate(self):
+        # the u-jump gate sits on the unitary route only; the count sees the phases
+        grid = np.linspace(0, 1, 3)
+        phases = np.array([[0.0], [0.5], [1.5]])
+        theta = ThetaTrace(grid=grid, theta=phases[:, 0], theta0=0.0)
+        with pytest.raises(StepSizeError,
+                           match="lost at sample 2: step moved a phase by 1.000 rad"):
+            _count_from_angle(phases, theta, grid)
+
+    def test_summed_motion_gate(self):
+        # five phases, each moving 0.7 < pi/4 without passing another, in all 3.5 >= pi
+        grid = np.linspace(0, 1, 2)
+        start = np.array([-2.0, -1.2, -0.4, 0.4, 1.2])
+        phases = np.stack([start, start + 0.7 * np.array([-1, -1, -1, 1, 1])])
+        theta = ThetaTrace(grid=grid, theta=phases.sum(axis=1), theta0=0.0)
+        with pytest.raises(StepSizeError, match="moved the phases by 3.500 rad in all, >= pi"):
+            _count_from_angle(phases, theta, grid)
+
+
+# largest per-step motion of a generated branch, just below PHASE_MATCH_REJECT
+MOTION = 0.78
+PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def branch_paths(draw, n_min=1, low=0.0, net_max=None, total_max=None):
+    """Continuous eigenphase branches (N, n), n up to 5, each moving by
+    ``low`` to ``MOTION`` per step in either direction, a step's motions
+    scaled down where their sum (``net_max``) or absolute sum
+    (``total_max``) exceeds the bound, and a random real orthogonal V (n, n).
+    No sample lies within 1e-9 of pi, where roundoff alone decides the side."""
+    n = draw(st.integers(n_min, 5))
+    steps = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    motions = rng.choice([-1.0, 1.0], (steps, n)) * rng.uniform(low, MOTION, (steps, n))
+    if net_max is not None:
+        motions *= (net_max / np.maximum(np.abs(motions.sum(axis=1)), net_max))[:, None]
+    if total_max is not None:
+        motions *= (total_max / np.maximum(np.abs(motions).sum(axis=1), total_max))[:, None]
+    branches = rng.uniform(-4.0, 4.0, n) + np.concatenate(
+        [np.zeros((1, n)), np.cumsum(motions, axis=0)])
+    assume(np.all(np.abs(np.mod(branches, 2.0 * np.pi) - np.pi) > 1e-9))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return branches, v
+
+
+def _count_exact(branches, v):
+    """The detector on u = V diag(exp(i branches)) V^T and the exact angle."""
+    grid = np.linspace(0.0, 1.0, branches.shape[0])
+    path = scripted_path(grid, branches, v)
+    return _count_from_angle(np.angle(np.linalg.eigvals(path.us)), path.theta_trace, grid)
+
+
+def _count_unwound(branches, v):
+    """The chart route's count on s = V diag(-tan(branches / 2)) V^T, whose
+    angle theta_from_chart unwinds from the chart eigenvalues."""
+    grid = np.linspace(0.0, 1.0, branches.shape[0])
+    charts = np.einsum("ij,mj,kj->mik", v, -np.tan(0.5 * branches), v)
+    mu = np.linalg.eigvalsh(charts)
+    trace = EigenTrace(grid=grid, mu=mu, singular_flags=np.zeros(mu.shape, dtype=bool))
+    return crossings_from_chart(ChartPath(grid=grid, charts=charts, eigen_trace=trace))
+
+
+def _assert_counts_right(result, branches):
+    """Signed index equal to the reference; unsigned count and per-step
+    directions too when no step holds passages in both directions."""
+    up, down = branch_passages(branches)
+    assert result.signed_index == int(np.sum(up - down))
+    if np.any((up > 0) & (down > 0)):
+        return
+    assert result.unsigned_count == int(np.sum(up + down))
+    grid = np.linspace(0.0, 1.0, branches.shape[0])
+    steps = np.flatnonzero(up + down)
+    assert [(c.direction, c.multiplicity) for c in result.crossings] == [
+        (1 if up[m] else -1, int(up[m] + down[m])) for m in steps]
+    for c, m in zip(result.crossings, steps):
+        assert grid[m] <= c.x <= grid[m + 1]
+
+
+@pytest.mark.parametrize("count", [_count_exact, _count_unwound], ids=["exact", "unwound"])
+class TestCountProperties:
+    """The count from the angle against passages read branch by branch."""
+
+    @PROPERTY_SETTINGS
+    @given(path=branch_paths(total_max=3.0))
+    def test_counts_right_below_pi(self, count, path):
+        # each step's motions sum in absolute value below pi: no gate fires
+        _assert_counts_right(count(*path), path[0])
+
+    @PROPERTY_SETTINGS
+    @given(path=branch_paths(n_min=5, low=0.63, net_max=3.0))
+    def test_summed_motion_at_pi_refused_or_right(self, count, path):
+        # five phases moving 0.63 or more: the absolute sum reaches pi; the
+        # net motion stays below pi, beyond which the samples alone cannot
+        # tell the angle's branch
+        try:
+            result = count(*path)
+        except StepSizeError:
+            return
+        _assert_counts_right(result, path[0])
+
+
+@PROPERTY_SETTINGS
+@given(path=branch_paths(n_min=4, low=0.5))
+def test_exact_angle_refuses_or_counts_right_at_any_motion(path):
+    try:
+        result = _count_exact(*path)
+    except StepSizeError:
+        return
+    _assert_counts_right(result, path[0])
 
 
 class TestMaslovIndex:
@@ -102,12 +224,10 @@ class TestMaslovIndex:
         res = maslov_index(crossings)
         assert res.unsigned_count == 3
         assert res.signed_index == -1
-        assert not res.sign_incomplete
 
-    def test_direction_zero_sets_flag(self):
-        res = maslov_index([CrossingRecord(x=0.0, multiplicity=1, direction=0)])
-        assert res.unsigned_count == 1 and res.signed_index == 0
-        assert res.sign_incomplete
+    def test_direction_zero_refused(self):
+        with pytest.raises(StructureError, match="direction"):
+            CrossingRecord(x=0.0, multiplicity=1, direction=0)
 
     def test_poschl_teller_monotone_directions(self):
         field = get_model("poschl_teller:2")
@@ -121,8 +241,7 @@ class TestRunTrace:
     def test_backend_both_counts_agree(self):
         field = get_model("poschl_teller:2")
         trace = run_trace(field, -2.0, _grid(2001), backend="both")
-        chart_count = sum(c.multiplicity
-                          for c in crossings_from_chart(trace.chart_path))
+        chart_count = crossings_from_chart(trace.chart_path).unsigned_count
         assert trace.result.unsigned_count == chart_count == 1
 
     def test_identity_fallback_at_non_hyperbolic_lambda(self):
@@ -166,19 +285,8 @@ class TestRunTrace:
         right_grid = np.linspace(-4, 20, 2401)
         u_mid = UnitarySymmetric(left.unitary_path.us[-1])
         right_path = integrate_unitary(field, lam, right_grid, u_mid)
-        right_crossings = detect_crossings(right_path)
-        total = left.result.unsigned_count + sum(c.multiplicity for c in right_crossings)
+        total = left.result.unsigned_count + detect_crossings(right_path).unsigned_count
         assert total == full.result.unsigned_count == 2
-
-
-def test_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize is only needed once crossings are detected
-    src = str(Path(maslovflow.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, maslovflow; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "False"
 
 
 class TestSweep:
@@ -278,6 +386,27 @@ class TestRefine:
         # at h = 0.5 the unitary route's theta moves by more than pi in a step
         with pytest.raises(StepSizeError):
             refine_eigenvalue("poschl_teller:3", -10.0, -0.5, _grid(81))
+
+
+_PT2 = get_model("poschl_teller:2")
+_ZERO_CHART = SymmetricChart(np.zeros((1, 1)))
+_TAKES_CHART_TOL = {
+    "integrate_chart": lambda tol: integrate_chart(_PT2, -5.0, _grid(101), _ZERO_CHART, tol),
+    "singular_eigenvalue_count": lambda tol: singular_eigenvalue_count(_ZERO_CHART, tol),
+    "run_trace": lambda tol: run_trace(_PT2, -5.0, _grid(101), chart_tol=tol),
+    "sweep_lambda": lambda tol: sweep_lambda("poschl_teller:2", np.array([-5.0, -4.5]),
+                                             _grid(101), chart_tol=tol),
+    "refine_eigenvalue": lambda tol: refine_eigenvalue("poschl_teller:2", -4.5, -3.5,
+                                                       _grid(101), chart_tol=tol),
+    "run_selftest": lambda tol: run_selftest(chart_tol=tol),
+}
+
+
+@pytest.mark.parametrize("chart_tol", [0.0, np.pi, 4.0])
+@pytest.mark.parametrize("name", sorted(_TAKES_CHART_TOL))
+def test_chart_tol_outside_zero_pi_refused(name, chart_tol):
+    with pytest.raises(ConfigError, match=r"chart_tol must lie in \(0, pi\)"):
+        _TAKES_CHART_TOL[name](chart_tol)
 
 
 class TestEndIntersection:

@@ -11,7 +11,6 @@ from maslovflow import (
     kdv7_coefficients,
     kdv7_field,
     kdv7_wave,
-    poschl_teller_eigenvalues,
     poschl_teller_field,
     validate_coefficients,
 )
@@ -148,11 +147,6 @@ class TestKdv7Coefficients:
 
 
 class TestPoschlTeller:
-    def test_closed_form_eigenvalues(self):
-        assert poschl_teller_eigenvalues(2) == (-4.0, -1.0)
-        assert poschl_teller_eigenvalues(1) == (-1.0,)
-        assert poschl_teller_eigenvalues(3) == (-9.0, -4.0, -1.0)
-
     def test_hyperbolic_iff_negative_lambda(self):
         field = poschl_teller_field(2)
         frame = farfield_frame(field.farfield_minus(-1e-3), "unstable")

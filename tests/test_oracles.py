@@ -7,6 +7,7 @@ import pytest
 
 from oracles import (
     eig2x2_quadratic,
+    poschl_teller_eigenvalues,
     poschl_teller_potential,
     shooting_eigenvalue,
     shooting_node_count,
@@ -19,6 +20,12 @@ def test_shooting_reproduces_closed_form_spectrum(m, expected):
     for target in expected:
         found = shooting_eigenvalue(pot, target - 0.5, target + 0.5, tol=1e-6)
         assert abs(found - target) < 1e-4
+
+
+def test_poschl_teller_closed_form_eigenvalues():
+    assert poschl_teller_eigenvalues(2) == (-4.0, -1.0)
+    assert poschl_teller_eigenvalues(1) == (-1.0,)
+    assert poschl_teller_eigenvalues(3) == (-9.0, -4.0, -1.0)
 
 
 def test_shooting_node_counts_poschl_teller_2():

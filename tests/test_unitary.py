@@ -200,8 +200,7 @@ class TestIntegrateUnitary:
         theta = path.theta_trace.theta
         from maslovflow import detect_crossings
 
-        crossings = detect_crossings(path)
-        assert sum(c.multiplicity for c in crossings) == count
+        assert detect_crossings(path).unsigned_count == count
         winding = (theta[-1] - theta[0]) / (2 * np.pi)
         assert abs(winding - count) < 0.2
 
