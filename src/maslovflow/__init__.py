@@ -28,14 +28,12 @@ from .maslov import (
     crossings_from_chart,
     detect_crossings,
     end_intersection_dimension,
-    maslov_index,
     refine_eigenvalue,
     run_trace,
     sweep_lambda,
 )
-from .matrixkit import EigenDecomposition, det_phase, mat_exp, sym_arctan, sym_eig
+from .matrixkit import det_phase, mat_exp, sym_arctan, sym_eig
 from .models import (
-    Kdv7Params,
     ModelSpec,
     get_model,
     kdv7_coefficients,
@@ -45,7 +43,6 @@ from .models import (
 )
 from .riccati import (
     ChartPath,
-    EigenTrace,
     SymmetricChart,
     integrate_chart,
     singular_eigenvalue_count,
@@ -61,14 +58,11 @@ from .system import (
     validate_coefficients,
 )
 from .unitary import (
-    RotatedCoefficients,
-    ThetaTrace,
     UnitaryPath,
     UnitarySymmetric,
     cayley,
     integrate_unitary,
     rotated_coefficients,
-    theta_from_chart,
     unitary_from_frame,
 )
 

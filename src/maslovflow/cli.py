@@ -24,7 +24,6 @@ from .maslov import BACKENDS, refine_eigenvalue, run_trace, sweep_lambda
 from .models import ModelSpec, get_model
 from .selftest import SELFTEST_PROPERTIES, run_selftest
 from .tolerances import CHART_TOL, check_chart_tol
-from .unitary import cayley
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -242,13 +241,15 @@ def cmd_trace(cfg: RunConfig) -> int:
     if have_unitary:
         us = trace.unitary_path.us
         sig = trace.unitary_path.sigmas
+        det_col = np.angle(np.linalg.det(us))
+        phase_cols = np.sort(np.angle(np.linalg.eigvals(us)), axis=1)
     else:
-        us = np.array([cayley(trace.chart_path.chart(i)).mat for i in range(grid.size)])
-    det_col = np.angle(np.linalg.det(us))
-    phase_cols = np.sort(np.angle(np.linalg.eigvals(us)), axis=1)
+        # the eigenphases of Cay(s) are -2 arctan(mu); det Cay(s) is their sum
+        phase_cols = np.sort(-2.0 * np.arctan(trace.chart_path.mu), axis=1)
+        det_col = np.angle(np.exp(1j * phase_cols.sum(axis=1)))
     if have_chart:
         clip = 1.0 / cfg.chart_tol
-        mu_cols = np.clip(trace.chart_path.eigen_trace.mu, -clip, clip)
+        mu_cols = np.clip(trace.chart_path.mu, -clip, clip)
 
     out_path = cfg.out or f"trace_{spec.name.replace(':', '_')}_{_fmt(lam)}.csv"
     with _open_out(out_path) as fh:
@@ -258,7 +259,7 @@ def cmd_trace(cfg: RunConfig) -> int:
                  f"init={trace.init_mode} chart_tol={_fmt(cfg.chart_tol)}\n")
         fh.write(",".join(columns) + "\n")
         for m in range(grid.size):
-            row = [_fmt(grid[m]), _fmt(trace.theta.theta[m]), _fmt(det_col[m])]
+            row = [_fmt(grid[m]), _fmt(trace.theta[m]), _fmt(det_col[m])]
             row += [_fmt(v) for v in phase_cols[m]]
             if have_chart:
                 row += [_fmt(v) for v in mu_cols[m]]

@@ -26,15 +26,7 @@ from .models import ModelSpec, get_model
 from .riccati import ChartPath, SymmetricChart, integrate_chart
 from .system import CoefficientField, LagrangianFrame, chart_from_frame, farfield_frame
 from .tolerances import CHART_TOL, END_FLAG_ANGLE, PHASE_MATCH_REJECT, check_chart_tol
-from .unitary import (
-    ThetaTrace,
-    UnitaryPath,
-    UnitarySymmetric,
-    cayley,
-    integrate_unitary,
-    theta_from_chart,
-    unitary_from_frame,
-)
+from .unitary import UnitaryPath, UnitarySymmetric, cayley, integrate_unitary, unitary_from_frame
 
 __all__ = [
     "CrossingRecord",
@@ -45,7 +37,6 @@ __all__ = [
     "TraceResult",
     "detect_crossings",
     "crossings_from_chart",
-    "maslov_index",
     "end_intersection_dimension",
     "run_trace",
     "sweep_lambda",
@@ -76,24 +67,11 @@ class CrossingRecord:
 
 @dataclass(frozen=True)
 class MaslovResult:
-    """Crossings with their unsigned and signed totals, and the angle they
-    were counted from."""
+    """Crossings with their unsigned and signed totals."""
 
     crossings: tuple[CrossingRecord, ...]
     unsigned_count: int
     signed_index: int
-    theta_trace: ThetaTrace | None = None
-
-
-def maslov_index(
-    crossings: list[CrossingRecord] | tuple[CrossingRecord, ...],
-    theta_trace: ThetaTrace | None = None,
-) -> MaslovResult:
-    """Assemble unsigned and signed totals from crossing records."""
-    unsigned = sum(c.multiplicity for c in crossings)
-    signed = sum(c.direction * c.multiplicity for c in crossings)
-    return MaslovResult(crossings=tuple(crossings), unsigned_count=unsigned,
-                        signed_index=signed, theta_trace=theta_trace)
 
 
 def detect_crossings(u_path: UnitaryPath) -> MaslovResult:
@@ -110,24 +88,44 @@ def detect_crossings(u_path: UnitaryPath) -> MaslovResult:
         raise StepSizeError(
             f"consecutive u samples differ by {float(np.max(jumps)):.3f} >= 0.5; refine the grid")
     phases = np.angle(np.linalg.eigvals(us))
-    return _count_from_angle(phases, u_path.theta_trace, grid)
+    return _count_from_angle(phases, u_path.theta, grid)
 
 
 def crossings_from_chart(path: ChartPath) -> MaslovResult:
     """Crossings along a chart path: eigenvalues of s through infinity.
 
     Uses the circle coordinates -2 arctan(mu), which are the eigenphases of
-    Cay(s), and the angle ``theta_from_chart`` unwinds from them; a passage
-    of mu through +-infinity is a passage of the phase through pi, so chart
-    and unitary routes count identically.
+    Cay(s), and the angle the path unwinds from them; a passage of mu
+    through +-infinity is a passage of the phase through pi, so chart and
+    unitary routes count identically.
+
+    An unwound angle is blind to a step whose eigenphases move by pi or
+    more in net.  Each eigenvalue of s passing infinity flips the sign of
+    det of the step's Moebius denominator, so a step whose net passage
+    count k has the other parity is refused (``StepSizeError``).
     """
-    phases = -2.0 * np.arctan(path.eigen_trace.mu)
-    return _count_from_angle(phases, theta_from_chart(path), path.grid)
+    phases = -2.0 * np.arctan(path.mu)
+    result = _count_from_angle(phases, path.theta, path.grid)
+    _, k = _net_passages(phases, path.theta)
+    bad = np.flatnonzero((k % 2 == 1) != (path.den_signs < 0))
+    if bad.size:
+        m = int(bad[0])
+        raise StepSizeError(f"chart angle lost at sample {m + 1}: net passage count {k[m]} "
+                            "disagrees in parity with the Moebius denominator; refine the grid")
+    return result
+
+
+def _net_passages(phases: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The principal eigenphases (N, n) sorted in (-pi, pi], and each step's
+    net number k = (dtheta - d sum(phases)) / 2 pi of them passing pi upward."""
+    phases = np.sort(np.where(phases == -np.pi, np.pi, phases), axis=1)
+    k = np.rint((np.diff(theta) - np.diff(phases.sum(axis=1))) / (2.0 * np.pi)).astype(int)
+    return phases, k
 
 
 def _count_from_angle(
     phases: np.ndarray,
-    theta: ThetaTrace,
+    theta: np.ndarray,
     grid: np.ndarray,
 ) -> MaslovResult:
     """Crossings from the principal eigenphases (N, n) of u and the angle
@@ -144,14 +142,12 @@ def _count_from_angle(
     ``PHASE_MATCH_REJECT`` or the motions sum in absolute value to pi or
     more, beyond which an unwound theta could pick another matching.
     """
-    phases = np.sort(np.where(phases == -np.pi, np.pi, phases), axis=1)
+    phases, k = _net_passages(phases, theta)
     n = phases.shape[1]
-    two_pi = 2.0 * np.pi
-    k = np.rint((np.diff(theta.theta) - np.diff(phases.sum(axis=1))) / two_pi).astype(int)
     shifted = np.arange(n) + k[:, None]
     wraps = shifted // n
     prev = phases[:-1]
-    cur = np.take_along_axis(phases[1:], shifted % n, axis=1) + two_pi * wraps
+    cur = np.take_along_axis(phases[1:], shifted % n, axis=1) + 2.0 * np.pi * wraps
     motion = np.abs(cur - prev)
     worst, total = motion.max(axis=1), motion.sum(axis=1)
     bad = np.flatnonzero((worst > PHASE_MATCH_REJECT) | (total >= np.pi))
@@ -171,7 +167,9 @@ def _count_from_angle(
         x = grid[m] + frac * (grid[m + 1] - grid[m])
         records.append(CrossingRecord(x=float(np.mean(x)), multiplicity=abs(int(k[m])),
                                       direction=direction))
-    return maslov_index(records, theta_trace=theta)
+    return MaslovResult(crossings=tuple(records),
+                        unsigned_count=sum(c.multiplicity for c in records),
+                        signed_index=sum(c.direction * c.multiplicity for c in records))
 
 
 def end_intersection_dimension(
@@ -223,14 +221,15 @@ class TraceResult:
 
     ``count_chart`` and ``count_unitary`` are the crossing counts of each
     route, -1 for a route that did not run; ``result`` holds the unitary
-    route's crossings when it ran, else the chart route's.
+    route's crossings when it ran, else the chart route's, and ``theta`` the
+    angle of the same route.
     """
 
     lam: float
     grid: np.ndarray
     backend: str
     init_mode: str
-    theta: ThetaTrace
+    theta: np.ndarray
     unitary_path: UnitaryPath | None
     chart_path: ChartPath | None
     result: MaslovResult
@@ -299,10 +298,13 @@ def _run_row(
         u_path = integrate_unitary(field, lam, grid, u0)
         result = detect_crossings(u_path)
         count_unitary = result.unsigned_count
-    u_end = cayley(chart_path.chart(-1)).mat if u_path is None else u_path.us[-1]
+    if u_path is None:
+        theta, u_end = chart_path.theta, cayley(chart_path.chart(-1)).mat
+    else:
+        theta, u_end = u_path.theta, u_path.us[-1]
     end_flag, end_dim = _end_of_interval_flag(result.crossings, grid, u_end, u_ref, chart_tol)
     return TraceResult(lam=lam, grid=grid, backend=backend, init_mode=init_mode,
-                       theta=result.theta_trace, unitary_path=u_path, chart_path=chart_path,
+                       theta=theta, unitary_path=u_path, chart_path=chart_path,
                        result=result, end_flag=end_flag, end_dimension=end_dim,
                        count_chart=count_chart, count_unitary=count_unitary)
 
@@ -400,7 +402,7 @@ def _sweep_row(field: CoefficientField, lam: float, grid: np.ndarray, backend: s
     if backend == "both" and trace.count_chart != trace.count_unitary:
         status, reason = "disagree", f"chart={trace.count_chart} unitary={trace.count_unitary}"
     return SweepRow(lam=lam, status=status, reason=reason,
-                    theta_end=float(trace.theta.theta[-1]),
+                    theta_end=float(trace.theta[-1]),
                     crossing_count=trace.result.unsigned_count, end_flag=trace.end_flag,
                     count_chart=trace.count_chart, count_unitary=trace.count_unitary)
 
@@ -493,8 +495,12 @@ def refine_eigenvalue(
 
     Requires the unsigned counts at the bracket ends to differ; returns the
     bracket midpoint once the bracket is shorter than ``tol_lambda``.  The
-    field is built once; a probe that is skipped or fails raises.
+    field is built once; a probe that is skipped or fails raises, and with
+    ``backend="both"`` so does a probe whose routes disagree
+    (``BackendDisagreementError``).
     """
+    if backend not in BACKENDS:
+        raise ConfigError(f"backend must be one of {BACKENDS}, got {backend!r}")
     spec = ModelSpec.parse(model) if isinstance(model, str) else model
     if not lam_lo < lam_hi:
         raise ConfigError("need lam_lo < lam_hi")
@@ -506,6 +512,8 @@ def refine_eigenvalue(
         row = _sweep_row(field, lam, x_grid, backend, chart_tol)
         if row.status == "skipped":
             raise HyperbolicityError(f"lambda={lam}: {row.reason}")
+        if row.status == "disagree":
+            raise BackendDisagreementError(f"backend disagreement at lambda={lam}: {row.reason}")
         return int(row.crossing_count)
 
     c_lo = count_at(lam_lo)

@@ -7,15 +7,12 @@ arrays; validated wrapper types live with the modules that own them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import StructureError
 from .tolerances import CHART_SYMMETRY, EIG_ORTHONORMALITY, EIG_RECONSTRUCTION, UNITARY_CHECK
 
 __all__ = [
-    "EigenDecomposition",
     "symmetrize",
     "as_real_symmetric",
     "sym_eig",
@@ -49,20 +46,10 @@ def as_real_symmetric(m: np.ndarray) -> np.ndarray:
     return symmetrize(m)
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigendecomposition of a real symmetric matrix.
-
-    ``eigenvalues`` are ascending; ``eigenvectors`` has orthonormal columns so
-    that ``M = V diag(w) V^T``.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def sym_eig(m: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a real symmetric matrix (ascending eigenvalues).
+def sym_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition ``(w, v)`` of a real symmetric matrix, as
+    ``np.linalg.eigh`` returns it: ascending eigenvalues w and orthonormal
+    columns v with ``M = V diag(w) V^T``.
 
     Uses the LAPACK symmetric solver (tridiagonalization + implicit QL/QR).
     The result is checked against the orthonormality and reconstruction
@@ -78,7 +65,7 @@ def sym_eig(m: np.ndarray) -> EigenDecomposition:
     recon = float(np.max(np.abs(m - (v * w) @ v.T)))
     if recon > EIG_RECONSTRUCTION * scale:
         raise StructureError(f"eigendecomposition reconstruction defect {recon:.3e}")
-    return EigenDecomposition(eigenvalues=w, eigenvectors=v)
+    return w, v
 
 
 # Pade coefficients and 1-norm bounds theta_m for the scaling-and-squaring
@@ -182,9 +169,8 @@ def sym_arctan(s: np.ndarray) -> np.ndarray:
 
     The spectrum of the result lies in (-pi/2, pi/2).
     """
-    dec = sym_eig(s)
-    v = dec.eigenvectors
-    return symmetrize((v * np.arctan(dec.eigenvalues)) @ v.T)
+    w, v = sym_eig(s)
+    return symmetrize((v * np.arctan(w)) @ v.T)
 
 
 def det_phase(u: np.ndarray) -> float:

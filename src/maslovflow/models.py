@@ -18,7 +18,6 @@ from .errors import ModelError
 from .system import CoefficientField, SymplecticCoefficients
 
 __all__ = [
-    "Kdv7Params",
     "ModelSpec",
     "kdv7_wave",
     "kdv7_coefficients",
@@ -38,6 +37,12 @@ _C_WAVE = Fraction(710000, 2159 ** 2)
 _SIGMA7 = Fraction(2159, 10000)
 _AMP = Fraction(1039500, 2159 ** 2)
 _WIDTH_SQ = Fraction(25, 2159)
+# The same constants as floats.  They are tied: only these values make the
+# profile a steady state with an eigenvalue at exactly 0.
+KDV7_C_WAVE = float(_C_WAVE)
+KDV7_SIGMA7 = float(_SIGMA7)
+KDV7_AMP = float(_AMP)
+KDV7_WIDTH = float(np.sqrt(float(_WIDTH_SQ)))
 
 # Declared far-field tolerance of the kdv7 field: the largest gap allowed
 # between the wave at the window ends and its limit 0.  The default window
@@ -52,25 +57,11 @@ _KDV7_FARFIELD_TOL = 1e-3
 _PT_FARFIELD_TOL = 1e-3
 
 
-@dataclass(frozen=True)
-class Kdv7Params:
-    """Constants of the seventh-order KdV solitary-wave problem."""
-
-    c_wave: float = float(_C_WAVE)
-    sigma7: float = float(_SIGMA7)
-    amp: float = float(_AMP)
-    width: float = float(np.sqrt(float(_WIDTH_SQ)))
-
-    def __post_init__(self) -> None:
-        if min(self.c_wave, self.sigma7, self.amp, self.width) <= 0:
-            raise ModelError("Kdv7Params must all be positive")
-
-
 def _sech(z: np.ndarray | float) -> np.ndarray | float:
     return 1.0 / np.cosh(np.clip(z, -700.0, 700.0))
 
 
-def kdv7_wave(x: np.ndarray | float, params: Kdv7Params = Kdv7Params()):
+def kdv7_wave(x: np.ndarray | float):
     """Solitary-wave profile U(x) = amp (sech^6(kx) + sech^4(kx)).
 
     The powers are taken one element at a time with the C library's pow,
@@ -78,13 +69,13 @@ def kdv7_wave(x: np.ndarray | float, params: Kdv7Params = Kdv7Params()):
     the last bit, and the wave at an array of x must equal the wave at each
     x exactly.
     """
-    s = np.asarray(_sech(params.width * np.asarray(x, dtype=float))).astype(object)
+    s = np.asarray(_sech(KDV7_WIDTH * np.asarray(x, dtype=float))).astype(object)
     s6 = np.asarray(s ** 6, dtype=float)
     s4 = np.asarray(s ** 4, dtype=float)
-    return params.amp * (s6 + s4)
+    return KDV7_AMP * (s6 + s4)
 
 
-def _kdv7_blocks(lam: float, u: np.ndarray | float, params: Kdv7Params) -> SymplecticCoefficients:
+def _kdv7_blocks(lam: float, u: np.ndarray | float) -> SymplecticCoefficients:
     """Exact sp(R^6) blocks with wave value(s) ``u``: a = 0, d = -a^T, and b, c
     exactly symmetric.  An array ``u`` of shape (N,) gives c of shape
     (N, 3, 3); the other blocks do not depend on x and stay (3, 3)."""
@@ -92,33 +83,25 @@ def _kdv7_blocks(lam: float, u: np.ndarray | float, params: Kdv7Params) -> Sympl
     a = np.zeros((3, 3))
     b = np.array([[0.0, -1.0, 0.0],
                   [-1.0, -1.0, 0.0],
-                  [0.0, 0.0, 1.0 / params.sigma7]])
+                  [0.0, 0.0, 1.0 / KDV7_SIGMA7]])
     c = np.zeros(u.shape + (3, 3))
-    c[..., 0, 0] = -lam + params.c_wave - u
+    c[..., 0, 0] = -lam + KDV7_C_WAVE - u
     c[..., 1, 2] = c[..., 2, 1] = -1.0
     c[..., 2, 2] = 1.0
     return SymplecticCoefficients(n=3, a=a, b=b, c=c, d=-a.T)
 
 
-def kdv7_coefficients(
-    x: np.ndarray | float,
-    lam: float,
-    params: Kdv7Params = Kdv7Params(),
-) -> SymplecticCoefficients:
+def kdv7_coefficients(x: np.ndarray | float, lam: float) -> SymplecticCoefficients:
     """Coefficient matrix of the first-order system at (x, lambda), n = 3.
 
     Only the (4,1) entry, -lambda + c_wave - U(x), depends on x or lambda.
     A 1-d array of x gives that entry for every x at once: c has shape
     (N, 3, 3), the other blocks (3, 3).
     """
-    return _kdv7_blocks(lam, kdv7_wave(x, params), params)
+    return _kdv7_blocks(lam, kdv7_wave(x))
 
 
-def kdv7_field(
-    x_minus: float = -20.0,
-    x_plus: float = 20.0,
-    params: Kdv7Params = Kdv7Params(),
-) -> CoefficientField:
+def kdv7_field(x_minus: float = -20.0, x_plus: float = 20.0) -> CoefficientField:
     """The kdv7 coefficient field on [x_minus, x_plus].
 
     The far-field limits drop the wave profile.  The window ends must come
@@ -126,13 +109,10 @@ def kdv7_field(
     raises ``StructureError`` instead of miscounting.
     """
 
-    def evaluate(x: np.ndarray | float, lam: float) -> SymplecticCoefficients:
-        return kdv7_coefficients(x, lam, params)
-
     def limit(lam: float) -> SymplecticCoefficients:
-        return _kdv7_blocks(lam, float(kdv7_wave(np.inf, params)), params)
+        return _kdv7_blocks(lam, float(kdv7_wave(np.inf)))
 
-    return CoefficientField(n=3, evaluate=evaluate, x_minus=x_minus, x_plus=x_plus,
+    return CoefficientField(n=3, evaluate=kdv7_coefficients, x_minus=x_minus, x_plus=x_plus,
                             farfield_minus=limit, farfield_plus=limit,
                             farfield_tol=_KDV7_FARFIELD_TOL, name="kdv7")
 

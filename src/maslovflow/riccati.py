@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StructureError
+from .errors import StepSizeError, StructureError
 from .matrixkit import mat_exp, symmetrize
 from .system import CoefficientField
 from .tolerances import CHART_TOL, check_chart_tol
@@ -24,7 +24,6 @@ BLOCK_STEPS = 256
 
 __all__ = [
     "SymmetricChart",
-    "EigenTrace",
     "ChartPath",
     "integrate_chart",
     "singular_eigenvalue_count",
@@ -52,34 +51,23 @@ class SymmetricChart:
 
 
 @dataclass(frozen=True)
-class EigenTrace:
-    """Eigenvalues mu_i(x) of the chart along the grid, sorted ascending
-    per sample, with per-eigenvalue singularity flags."""
-
-    grid: np.ndarray
-    mu: np.ndarray
-    singular_flags: np.ndarray
-
-    def __post_init__(self) -> None:
-        if np.any(np.diff(self.grid) <= 0):
-            raise StructureError("EigenTrace grid must be strictly increasing")
-        if np.any(np.diff(self.mu, axis=1) < 0):
-            raise StructureError("EigenTrace rows must be sorted ascending")
-
-
-@dataclass(frozen=True)
 class ChartPath:
-    """Chart samples along the grid plus the eigenvalue trace.
+    """Chart samples along the grid with their eigenvalues and angle.
 
-    ``charts[m]`` is the exactly-symmetric chart at ``grid[m]``;
-    ``flagged_samples`` marks grid indices where the Moebius denominator was
+    ``charts[m]`` is the exactly-symmetric chart at ``grid[m]``, ``mu[m]``
+    its ascending eigenvalues and ``theta[m]`` the unwound -2 tr arctan(s).
+    ``den_signs[m]``, the sign of det of step m's Moebius denominator, is -1
+    when an odd number of eigenvalues of s passed infinity in the step.
+    ``flagged_samples`` marks grid indices where that denominator was
     ill-conditioned (chart singularity crossed nearby);
     ``max_symmetry_defect`` is the largest pre-symmetrization defect seen.
     """
 
     grid: np.ndarray
     charts: np.ndarray
-    eigen_trace: EigenTrace
+    mu: np.ndarray
+    theta: np.ndarray
+    den_signs: np.ndarray
     flagged_samples: tuple[int, ...] = ()
     max_symmetry_defect: float = 0.0
 
@@ -87,9 +75,28 @@ class ChartPath:
         return SymmetricChart(self.charts[i])
 
 
-def _mobius_apply(s: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, float, float]:
+def _check_theta_steps(theta: np.ndarray) -> None:
+    """Refuse (``StepSizeError``) an angle that moves by pi or more in one
+    step; both routes gate their angle here."""
+    worst = float(np.max(np.abs(np.diff(theta))))
+    if worst >= np.pi:
+        raise StepSizeError(f"theta moved {worst:.3f} >= pi in one step; refine the grid")
+
+
+def _unwound_theta(mu: np.ndarray) -> np.ndarray:
+    """The angle theta = -2 tr arctan(s) from the chart eigenvalues (N, n).
+
+    Each step's increment is wrapped into [-pi, pi), which undoes the 2 pi
+    branch jump of the raw formula when an eigenvalue of s passes infinity.
+    """
+    base = -2.0 * np.sum(np.arctan(mu), axis=1)
+    delta = np.mod(np.diff(base) + np.pi, 2.0 * np.pi) - np.pi
+    return base[0] + np.concatenate([[0.0], np.cumsum(delta)])
+
+
+def _mobius_apply(s: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, float, float, float]:
     """Apply the Moebius action; returns (new s, effective denominator
-    condition, pre-symmetrization defect).
+    condition, pre-symmetrization defect, sign of det of the denominator).
 
     The effective condition compares the smallest singular value of the
     denominator against the scale of its inputs; the plain condition number
@@ -106,7 +113,7 @@ def _mobius_apply(s: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, float, fl
         raise np.linalg.LinAlgError("Moebius denominator exactly singular")
     s_new = np.linalg.solve(den.T, num.T).T
     defect = float(np.max(np.abs(s_new - s_new.T)))
-    return symmetrize(s_new), cond, defect
+    return symmetrize(s_new), cond, defect, float(np.linalg.slogdet(den)[0])
 
 
 def singular_threshold(chart_tol: float) -> float:
@@ -151,8 +158,10 @@ def integrate_chart(
     chart.  The integration proceeds through chart singularities; samples
     where the Moebius denominator condition exceeds ``1 / chart_tol`` are
     flagged.  If a denominator is exactly singular (the solve fails) the
-    step is retried as two half steps (the singular set is isolated) and
-    the sample flagged.
+    step is retried as two half steps (the singular set is isolated), the
+    sample flagged and the product of the two denominator signs recorded.
+    The angle is unwound from the chart eigenvalues and gated by
+    ``_check_theta_steps``.
     """
     check_chart_tol(chart_tol)
     grid = field.check_grid(grid)
@@ -166,7 +175,7 @@ def integrate_chart(
     dens = np.empty((nsteps, n, n))
     unsymmetrized = np.empty((nsteps, n, n))
     top_norms = np.empty(nsteps)
-    halved: dict[int, tuple[float, float]] = {}  # step -> (condition, defect)
+    halved: dict[int, tuple[float, float, float]] = {}  # step -> (condition, defect, sign)
     s = s0.mat
     for lo in range(0, nsteps, BLOCK_STEPS):
         hi = min(lo + BLOCK_STEPS, nsteps)
@@ -182,9 +191,9 @@ def integrate_chart(
                 x_mid = 0.5 * (grid[m] + grid[m + 1])
                 halves = _propagators(field, np.array([grid[m], x_mid]),
                                       np.array([x_mid, grid[m + 1]]), lam)
-                s_half, c1, d1 = _mobius_apply(s, halves[0])
-                s_new, c2, d2 = _mobius_apply(s_half, halves[1])
-                halved[m] = (max(c1, c2), max(d1, d2))
+                s_half, c1, d1, sign1 = _mobius_apply(s, halves[0])
+                s_new, c2, d2, sign2 = _mobius_apply(s_half, halves[1])
+                halved[m] = (max(c1, c2), max(d1, d2), sign1 * sign2)
             dens[m] = den
             unsymmetrized[m] = s_new
             s = symmetrize(s_new)
@@ -196,14 +205,15 @@ def integrate_chart(
     with np.errstate(divide="ignore"):
         cond = np.where(sv_min == 0.0, np.inf, scale / sv_min)
     defects = np.abs(unsymmetrized - unsymmetrized.transpose(0, 2, 1)).max(axis=(1, 2))
-    for m, (c, d) in halved.items():
-        cond[m], defects[m] = c, d
+    den_signs = np.linalg.slogdet(dens)[0]
+    for m, (c, d, sign) in halved.items():
+        cond[m], defects[m], den_signs[m] = c, d, sign
     flag = cond > 1.0 / chart_tol
     flag[list(halved)] = True
     flagged = tuple(int(m) + 1 for m in np.flatnonzero(flag))
 
     mu = np.linalg.eigvalsh(charts)
-    flags = np.abs(mu) > singular_threshold(chart_tol)
-    trace = EigenTrace(grid=grid, mu=mu, singular_flags=flags)
-    return ChartPath(grid=grid, charts=charts, eigen_trace=trace,
+    theta = _unwound_theta(mu)
+    _check_theta_steps(theta)
+    return ChartPath(grid=grid, charts=charts, mu=mu, theta=theta, den_signs=den_signs,
                      flagged_samples=flagged, max_symmetry_defect=float(defects.max()))

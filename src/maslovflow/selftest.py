@@ -181,7 +181,7 @@ def check_route_agreement(cases: Sequence[tuple[str, float]], bound: float) -> P
         path = integrate_unitary(field, lam, grid, unitary_from_frame(frame))
         base, keep = _theta_via_trace_formula(path.us)
         anchor = int(np.nonzero(keep)[0][0])
-        offset = path.theta_trace.theta[anchor] - base[anchor]
+        offset = path.theta[anchor] - base[anchor]
         offset = round(offset / (2.0 * np.pi)) * 2.0 * np.pi
         # compare on the anchor's unbroken stretch: past a singular sample the
         # raw trace formula changes branch by 2 pi
@@ -189,7 +189,7 @@ def check_route_agreement(cases: Sequence[tuple[str, float]], bound: float) -> P
         after = breaks[breaks > anchor]
         lim = int(after[0]) if after.size else path.us.shape[0]
         sel = slice(anchor, lim)
-        diff = np.abs(path.theta_trace.theta[sel] - (base[sel] + offset))
+        diff = np.abs(path.theta[sel] - (base[sel] + offset))
         worst = max(worst, float(np.max(diff)))
     return PropertyReport("route_agreement", worst, bound,
                           "theta from -2 tr arctan(s) vs sigma accumulation, |mu| < 10 stretch")

@@ -16,22 +16,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StepSizeError, StructureError
+from .errors import StructureError
 from .matrixkit import det_phase, mat_exp, sym_eig
-from .riccati import BLOCK_STEPS, ChartPath, SymmetricChart
+from .riccati import BLOCK_STEPS, SymmetricChart, _check_theta_steps
 from .system import CoefficientField, LagrangianFrame, SymplecticCoefficients
 from .tolerances import CIRCLE_CONSISTENCY, REPROJECT_DEFECT, UNITARY_TYPE
 
 __all__ = [
     "UnitarySymmetric",
-    "RotatedCoefficients",
-    "ThetaTrace",
     "UnitaryPath",
     "cayley",
     "unitary_from_frame",
     "rotated_coefficients",
     "integrate_unitary",
-    "theta_from_chart",
 ]
 
 
@@ -59,46 +56,19 @@ class UnitarySymmetric:
 
 
 @dataclass(frozen=True)
-class RotatedCoefficients:
-    """Complex coefficient pair of the unitary-manifold Riccati flow.
-
-    C is symmetric and D skew-Hermitian because the source blocks lie in
-    sp(R^2n), which the coefficient field checks when it is built.
-    """
-
-    C: np.ndarray
-    D: np.ndarray
-
-
-@dataclass(frozen=True)
-class ThetaTrace:
-    """Continuous angle theta(x) between the evolving plane and the standard
-    reference plane, accumulated without branch ambiguity."""
-
-    grid: np.ndarray
-    theta: np.ndarray
-    theta0: float
-
-    def __post_init__(self) -> None:
-        steps = np.abs(np.diff(self.theta))
-        if steps.size and float(np.max(steps)) >= np.pi:
-            raise StepSizeError(
-                f"theta moved {float(np.max(steps)):.3f} >= pi in one step; refine the grid")
-
-
-@dataclass(frozen=True)
 class UnitaryPath:
     """Unitary samples with the accumulated angle and drift diagnostics.
 
-    ``sigmas[m]`` is the Lie-algebra step that produced sample m (zero at
-    m = 0).  Defects are measured on the raw step products, before any
+    ``theta`` is the angle between the evolving plane and the standard
+    reference plane, accumulated without branch ambiguity; ``sigmas[m]`` is
+    the Lie-algebra step that produced sample m (zero at m = 0).  Defects are measured on the raw step products, before any
     re-projection, so they quantify the intrinsic drift of the scheme.
     """
 
     grid: np.ndarray
     us: np.ndarray
     sigmas: np.ndarray
-    theta_trace: ThetaTrace
+    theta: np.ndarray
     max_unitarity_defect: float
     max_symmetry_defect: float
     max_circle_defect: float
@@ -111,9 +81,8 @@ def cayley(s: SymmetricChart) -> UnitarySymmetric:
     Eigenvalues map as mu -> (1 - i mu)/(1 + i mu); the result is exactly
     symmetric by construction.
     """
-    dec = sym_eig(s.mat)
-    phases = (1.0 - 1j * dec.eigenvalues) / (1.0 + 1j * dec.eigenvalues)
-    v = dec.eigenvectors
+    w, v = sym_eig(s.mat)
+    phases = (1.0 - 1j * w) / (1.0 + 1j * w)
     return UnitarySymmetric((v * phases) @ v.T)
 
 
@@ -129,12 +98,13 @@ def unitary_from_frame(frame: LagrangianFrame) -> UnitarySymmetric:
     return UnitarySymmetric(0.5 * (u + u.T))
 
 
-def rotated_coefficients(coeffs: SymplecticCoefficients) -> RotatedCoefficients:
-    """Rotate sp(R^2n) blocks into the complex pair driving the u-flow:
-    C = (a - d - i(b + c))/2 and D = (a + d + i(b - c))/2."""
+def rotated_coefficients(coeffs: SymplecticCoefficients) -> tuple[np.ndarray, np.ndarray]:
+    """Rotate sp(R^2n) blocks into the complex pair (C, D) driving the
+    u-flow: C = (a - d - i(b + c))/2, symmetric, and D = (a + d + i(b - c))/2,
+    skew-Hermitian."""
     c_rot = 0.5 * (coeffs.a - coeffs.d - 1j * (coeffs.b + coeffs.c))
     d_rot = 0.5 * (coeffs.a + coeffs.d + 1j * (coeffs.b - coeffs.c))
-    return RotatedCoefficients(C=c_rot, D=d_rot)
+    return c_rot, d_rot
 
 
 def _polar_symmetric_project(u: np.ndarray) -> np.ndarray:
@@ -163,7 +133,7 @@ def integrate_unitary(
     :meth:`CoefficientField.check_grid`.  Theta starts at the principal
     value of -i log det u0; the sampled path satisfies exp(i theta_m) =
     det u_m up to roundoff, and the worst circle defect is recorded and
-    gated.
+    gated, then the steps of theta by ``_check_theta_steps``.
     """
     grid = field.check_grid(grid)
     if u0.n != field.n:
@@ -183,9 +153,9 @@ def integrate_unitary(
     for lo in range(0, nsteps, BLOCK_STEPS):
         hi = min(lo + BLOCK_STEPS, nsteps)
         full = field.full_stack(grid[lo:hi], lam)
-        rot = rotated_coefficients(SymplecticCoefficients(
+        c_rots, d_rots = rotated_coefficients(SymplecticCoefficients(
             n=n, a=full[:, :n, :n], b=full[:, :n, n:], c=full[:, n:, :n], d=full[:, n:, n:]))
-        for m, c_rot, c_conj, d_rot in zip(range(lo, hi), rot.C, np.conj(rot.C), rot.D):
+        for m, c_rot, c_conj, d_rot in zip(range(lo, hi), c_rots, np.conj(c_rots), d_rots):
             xi = d_rot - 0.5 * (u @ c_conj - c_rot @ u.conj().T)
             sigma = steps[m] * (0.5 * (xi - xi.conj().T))
             e = mat_exp(sigma)
@@ -211,23 +181,10 @@ def integrate_unitary(
     if circle > CIRCLE_CONSISTENCY:
         raise StructureError(
             f"theta/determinant circle consistency broken: defect {circle:.3e}")
-    trace = ThetaTrace(grid=grid, theta=theta, theta0=float(theta[0]))
-    return UnitaryPath(grid=grid, us=us, sigmas=sigmas, theta_trace=trace,
+    _check_theta_steps(theta)
+    return UnitaryPath(grid=grid, us=us, sigmas=sigmas, theta=theta,
                        max_unitarity_defect=max_u_defect,
                        max_symmetry_defect=max_s_defect,
                        max_circle_defect=circle,
                        reprojected_steps=reprojected)
 
-
-def theta_from_chart(path: ChartPath) -> ThetaTrace:
-    """Continuous angle along a chart path via the trace formula
-    theta = -2 tr arctan(s), unwound by wrapping per-step increments.
-
-    Wrapping the increments into (-pi, pi] resolves the 2 pi branch jump that
-    the raw trace formula takes when an eigenvalue of s passes infinity.
-    """
-    base = -2.0 * np.sum(np.arctan(path.eigen_trace.mu), axis=1)
-    delta = np.diff(base)
-    delta = np.mod(delta + np.pi, 2.0 * np.pi) - np.pi
-    theta = base[0] + np.concatenate([[0.0], np.cumsum(delta)])
-    return ThetaTrace(grid=path.grid, theta=theta, theta0=base[0])

@@ -1,5 +1,5 @@
-"""Imports of the package: every imported name is used, and numpy is the
-only third-party module it needs.
+"""Imports of the package: it exports exactly the names listed here, every
+imported name is used, and numpy is the only third-party module it needs.
 
 Static checks with the standard library only: each ``src/maslovflow/*.py`` is
 parsed with ``ast``. For the unused-name check, ``__init__.py`` (whose imports
@@ -11,6 +11,7 @@ that importing the package and running one trace loads no scipy.
 """
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -20,6 +21,41 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "maslovflow"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+# The package's public names. An export added or removed by accident fails
+# test_public_names; a deliberate one is made here too. Their number is the
+# "exported names" count the roadmap tracks.
+PUBLIC_NAMES = {
+    # errors
+    "ChartDomainError", "ConfigError", "HyperbolicityError", "MaslovError", "ModelError",
+    "StepSizeError", "StructureError",
+    # maslov
+    "CrossingRecord", "MaslovResult", "RefineResult", "SweepRow", "SweepTable", "TraceResult",
+    "crossings_from_chart", "detect_crossings", "end_intersection_dimension",
+    "refine_eigenvalue", "run_trace", "sweep_lambda",
+    # matrixkit
+    "det_phase", "mat_exp", "sym_arctan", "sym_eig",
+    # models
+    "ModelSpec", "get_model", "kdv7_coefficients", "kdv7_field", "kdv7_wave",
+    "poschl_teller_field",
+    # riccati
+    "ChartPath", "SymmetricChart", "integrate_chart", "singular_eigenvalue_count",
+    "singular_threshold",
+    # system
+    "CoefficientField", "LagrangianFrame", "SymplecticCoefficients", "chart_from_frame",
+    "farfield_frame", "total_frame_rank_loss", "validate_coefficients",
+    # unitary
+    "UnitaryPath", "UnitarySymmetric", "cayley", "integrate_unitary", "rotated_coefficients",
+    "unitary_from_frame",
+}
+
+
+def test_public_names():
+    import maslovflow
+
+    public = {name for name, value in vars(maslovflow).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert public == PUBLIC_NAMES
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -9,27 +10,29 @@ from maslovflow import (
     ChartPath,
     ConfigError,
     CrossingRecord,
-    EigenTrace,
     HyperbolicityError,
     ModelSpec,
     SymmetricChart,
-    ThetaTrace,
     UnitaryPath,
+    cayley,
     detect_crossings,
     crossings_from_chart,
     end_intersection_dimension,
     get_model,
     integrate_chart,
-    maslov_index,
+    integrate_unitary,
     refine_eigenvalue,
     run_trace,
     singular_eigenvalue_count,
     sweep_lambda,
+    validate_coefficients,
 )
-from maslovflow.errors import StepSizeError, StructureError
+from maslovflow.errors import BackendDisagreementError, StepSizeError, StructureError
 from maslovflow.maslov import _count_from_angle
+from maslovflow.riccati import _unwound_theta
 from maslovflow.selftest import run_selftest
 from maslovflow.tolerances import CHART_TOL
+from conftest import constant_field
 from oracles import branch_passages
 
 
@@ -43,9 +46,7 @@ def scripted_path(grid, branches, v=None):
     branches = np.asarray(branches, dtype=float).reshape(grid.size, -1)
     v = np.eye(branches.shape[1]) if v is None else v
     us = np.einsum("ij,mj,kj->mik", v, np.exp(1j * branches), v)
-    theta = branches.sum(axis=1)
-    return UnitaryPath(grid=grid, us=us, sigmas=np.zeros_like(us),
-                       theta_trace=ThetaTrace(grid=grid, theta=theta, theta0=float(theta[0])),
+    return UnitaryPath(grid=grid, us=us, sigmas=np.zeros_like(us), theta=branches.sum(axis=1),
                        max_unitarity_defect=0.0, max_symmetry_defect=0.0,
                        max_circle_defect=0.0)
 
@@ -105,19 +106,37 @@ class TestDetectCrossings:
         # the u-jump gate sits on the unitary route only; the count sees the phases
         grid = np.linspace(0, 1, 3)
         phases = np.array([[0.0], [0.5], [1.5]])
-        theta = ThetaTrace(grid=grid, theta=phases[:, 0], theta0=0.0)
         with pytest.raises(StepSizeError,
                            match="lost at sample 2: step moved a phase by 1.000 rad"):
-            _count_from_angle(phases, theta, grid)
+            _count_from_angle(phases, phases[:, 0], grid)
 
     def test_summed_motion_gate(self):
         # five phases, each moving 0.7 < pi/4 without passing another, in all 3.5 >= pi
         grid = np.linspace(0, 1, 2)
         start = np.array([-2.0, -1.2, -0.4, 0.4, 1.2])
         phases = np.stack([start, start + 0.7 * np.array([-1, -1, -1, 1, 1])])
-        theta = ThetaTrace(grid=grid, theta=phases.sum(axis=1), theta0=0.0)
         with pytest.raises(StepSizeError, match="moved the phases by 3.500 rad in all, >= pi"):
-            _count_from_angle(phases, theta, grid)
+            _count_from_angle(phases, phases.sum(axis=1), grid)
+
+    def test_chart_step_moving_pi_in_net_refused(self):
+        # five phases each turning 0.7 per step, one of them passing pi in
+        # the first step: the net motion 3.5 >= pi aliases the unwound angle
+        # by -2 pi, and the parity of the Moebius denominator shows it
+        w = 0.35 * np.eye(5)
+        field = constant_field(validate_coefficients(0 * w, w, -w, 0 * w), 0.0, 10.0)
+        s0 = SymmetricChart(np.diag(-np.tan(0.5 * np.array([-2.463, -1.207, 0.05, 1.307, 2.563]))))
+        grid = np.linspace(0.0, 10.0, 11)
+        path = integrate_chart(field, 0.0, grid, s0)
+        assert path.den_signs[0] == -1
+        with pytest.raises(StepSizeError, match="chart angle lost at sample 1: net passage count 0"):
+            crossings_from_chart(path)
+        with pytest.raises(StepSizeError, match="theta moved 3.500 >= pi"):
+            integrate_unitary(field, 0.0, grid, cayley(s0))
+        # ten times finer, both routes count the six passages
+        grid = np.linspace(0.0, 10.0, 101)
+        result = crossings_from_chart(integrate_chart(field, 0.0, grid, s0))
+        assert result.unsigned_count == result.signed_index == 6
+        assert detect_crossings(integrate_unitary(field, 0.0, grid, cayley(s0))).signed_index == 6
 
 
 # largest per-step motion of a generated branch, just below PHASE_MATCH_REJECT
@@ -151,17 +170,21 @@ def _count_exact(branches, v):
     """The detector on u = V diag(exp(i branches)) V^T and the exact angle."""
     grid = np.linspace(0.0, 1.0, branches.shape[0])
     path = scripted_path(grid, branches, v)
-    return _count_from_angle(np.angle(np.linalg.eigvals(path.us)), path.theta_trace, grid)
+    return _count_from_angle(np.angle(np.linalg.eigvals(path.us)), path.theta, grid)
 
 
 def _count_unwound(branches, v):
-    """The chart route's count on s = V diag(-tan(branches / 2)) V^T, whose
-    angle theta_from_chart unwinds from the chart eigenvalues."""
+    """The chart route's count on s = V diag(-tan(branches / 2)) V^T, with
+    the angle the chart path unwinds from its eigenvalues and the
+    denominator sign of each step, -1 where the branches pass pi an odd
+    number of times."""
     grid = np.linspace(0.0, 1.0, branches.shape[0])
     charts = np.einsum("ij,mj,kj->mik", v, -np.tan(0.5 * branches), v)
     mu = np.linalg.eigvalsh(charts)
-    trace = EigenTrace(grid=grid, mu=mu, singular_flags=np.zeros(mu.shape, dtype=bool))
-    return crossings_from_chart(ChartPath(grid=grid, charts=charts, eigen_trace=trace))
+    up, down = branch_passages(branches)
+    signs = np.where((up + down) % 2 == 1, -1.0, 1.0)
+    return crossings_from_chart(ChartPath(grid=grid, charts=charts, mu=mu,
+                                          theta=_unwound_theta(mu), den_signs=signs))
 
 
 def _assert_counts_right(result, branches):
@@ -213,15 +236,51 @@ def test_exact_angle_refuses_or_counts_right_at_any_motion(path):
     _assert_counts_right(result, path[0])
 
 
+@st.composite
+def turning_combs(draw):
+    """Five or six phases spread about evenly round the circle, all turning
+    the same way by 0.64 to 0.78 per step. A step's net motion lies between
+    pi and 3 pi, so the unwound angle is 2 pi short, and the matching that
+    angle picks, each phase continuing as the one behind it, moves every
+    phase by less than pi/4."""
+    n = draw(st.integers(5, 6))
+    steps = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    start = rng.uniform(-np.pi, np.pi) + 2.0 * np.pi * np.arange(n) / n + rng.uniform(-0.05, 0.05, n)
+    motions = rng.choice([-1.0, 1.0]) * (rng.uniform(0.66, 0.76, (steps, 1))
+                                         + rng.uniform(-0.02, 0.02, (steps, n)))
+    branches = start + np.concatenate([np.zeros((1, n)), np.cumsum(motions, axis=0)])
+    assume(np.all(np.abs(np.mod(branches, 2.0 * np.pi) - np.pi) > 1e-9))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return branches, v
+
+
+@PROPERTY_SETTINGS
+@given(path=turning_combs())
+def test_unwound_angle_refuses_or_counts_right_below_3pi(path):
+    # the denominator parity shows the angle 2 pi short
+    try:
+        result = _count_unwound(*path)
+    except StepSizeError:
+        return
+    _assert_counts_right(result, path[0])
+
+
 class TestMaslovIndex:
     def test_empty(self):
-        res = maslov_index([])
+        grid = np.linspace(0.0, 1.0, 3)
+        res = _count_from_angle(np.zeros((3, 2)), np.zeros(3), grid)
+        assert res.crossings == ()
         assert res.unsigned_count == 0 and res.signed_index == 0
 
     def test_arithmetic(self):
-        crossings = [CrossingRecord(x=0.0, multiplicity=1, direction=+1),
-                     CrossingRecord(x=3.0, multiplicity=2, direction=-1)]
-        res = maslov_index(crossings)
+        # one phase passes pi upward in the first step, two downward in the second
+        grid = np.linspace(0.0, 1.0, 3)
+        branches = np.array([[np.pi - 0.1, 0.1 - np.pi, 0.1 - np.pi],
+                             [np.pi + 0.1, 0.1 - np.pi, 0.1 - np.pi],
+                             [np.pi + 0.1, -0.1 - np.pi, -0.1 - np.pi]])
+        res = detect_crossings(scripted_path(grid, branches))
+        assert [(c.direction, c.multiplicity) for c in res.crossings] == [(1, 1), (-1, 2)]
         assert res.unsigned_count == 3
         assert res.signed_index == -1
 
@@ -386,6 +445,24 @@ class TestRefine:
         # at h = 0.5 the unitary route's theta moves by more than pi in a step
         with pytest.raises(StepSizeError):
             refine_eigenvalue("poschl_teller:3", -10.0, -0.5, _grid(81))
+
+    def test_backend_outside_backends_refused(self):
+        with pytest.raises(ConfigError, match="backend must be one of"):
+            refine_eigenvalue("poschl_teller:2", -4.5, -3.5, _grid(1001), backend="bogus")
+
+    def test_disagreeing_probe_raises(self, monkeypatch):
+        import maslovflow.maslov as maslov_mod
+
+        real = maslov_mod.crossings_from_chart
+
+        def one_more(path):
+            # the chart route counts one crossing more than the unitary route
+            result = real(path)
+            return dataclasses.replace(result, unsigned_count=result.unsigned_count + 1)
+
+        monkeypatch.setattr(maslov_mod, "crossings_from_chart", one_more)
+        with pytest.raises(BackendDisagreementError, match="lambda=-4.5: chart=1 unitary=0"):
+            refine_eigenvalue("poschl_teller:2", -4.5, -3.5, _grid(1001), backend="both")
 
 
 _PT2 = get_model("poschl_teller:2")

@@ -14,13 +14,12 @@ from maslovflow import (
     poschl_teller_field,
     validate_coefficients,
 )
-from maslovflow.models import Kdv7Params
+from maslovflow.models import KDV7_AMP, KDV7_C_WAVE
 
 
 class TestKdv7Wave:
     def test_peak_value(self):
-        params = Kdv7Params()
-        assert abs(kdv7_wave(0.0) - 2.0 * params.amp) < 1e-15
+        assert abs(kdv7_wave(0.0) - 2.0 * KDV7_AMP) < 1e-15
 
     def test_decay(self):
         assert kdv7_wave(50.0) < 1e-8
@@ -64,7 +63,6 @@ class TestKdv7Wave:
         old_dps = mp.dps
         try:
             mp.dps = 40
-            params = Kdv7Params()
             c = mpmath.mpf(710000) / 2159 ** 2
             sigma = mpmath.mpf(2159) / 10000
             amp = mpmath.mpf(1039500) / 2159 ** 2
@@ -90,9 +88,8 @@ class TestKdv7Wave:
 
 class TestKdv7Coefficients:
     def test_lambda_entry(self):
-        params = Kdv7Params()
         coeffs = kdv7_coefficients(0.0, 0.0)
-        assert abs(coeffs.c[0, 0] - (params.c_wave - 2 * params.amp)) < 1e-15
+        assert abs(coeffs.c[0, 0] - (KDV7_C_WAVE - 2 * KDV7_AMP)) < 1e-15
 
     def test_inverse_sigma_entry(self):
         coeffs = kdv7_coefficients(1.0, 0.1)
@@ -139,11 +136,10 @@ class TestKdv7Coefficients:
             farfield_frame(field.farfield_minus(float(lam)), "unstable")
 
     def test_essential_edge_is_wave_speed(self):
-        params = Kdv7Params()
         field = kdv7_field()
         with pytest.raises(HyperbolicityError):
-            farfield_frame(field.farfield_minus(params.c_wave + 1e-4), "unstable")
-        farfield_frame(field.farfield_minus(params.c_wave - 1e-3), "unstable")
+            farfield_frame(field.farfield_minus(KDV7_C_WAVE + 1e-4), "unstable")
+        farfield_frame(field.farfield_minus(KDV7_C_WAVE - 1e-3), "unstable")
 
 
 class TestPoschlTeller:

@@ -133,7 +133,7 @@ class TestIntegrateChart:
         path = integrate_chart(field, lam, grid, s0)
         # scalar chart: a passage of mu through infinity flips the sign of
         # 1/mu while |mu| stays large on both sides
-        mu = path.eigen_trace.mu[:, 0]
+        mu = path.mu[:, 0]
         recip = 1.0 / mu
         passages = 0
         for m in range(len(mu) - 1):
@@ -147,7 +147,7 @@ class TestIntegrateChart:
         grid = np.linspace(-20, 20, 4001)
         s0 = chart_from_frame(farfield_frame(field.farfield_minus(-5.0), "unstable"))
         path = integrate_chart(field, -5.0, grid, s0)
-        assert not np.any(path.eigen_trace.singular_flags)
+        assert not np.any(np.abs(path.mu) > singular_threshold(CHART_TOL))
 
     def test_gauge_consistency_with_linear_frame_flow(self):
         field = poschl_teller_field(2)
@@ -199,7 +199,9 @@ class TestIntegrateChart:
         grid = np.linspace(0.0, np.pi, 101)  # grid[50] = pi/2 up to roundoff
         path = integrate_chart(field, 0.0, grid, SymmetricChart(np.zeros((1, 1))))
         assert 50 in path.flagged_samples
-        assert bool(path.eigen_trace.singular_flags[50, 0])
+        assert abs(path.mu[50, 0]) > singular_threshold(CHART_TOL)
+        # the halved step records the product of its two denominator signs
+        assert path.den_signs[49] == -1 and np.all(np.delete(path.den_signs, 49) == 1)
         # and the flow still recovers: s(pi) = tan(pi) = 0
         assert abs(path.charts[-1, 0, 0] - np.tan(np.pi)) < 1e-9
 
@@ -215,16 +217,17 @@ class TestIntegrateChart:
 def _chart_per_step(field, lam, grid, s0):
     """Reference chart path one step at a time: the scalar field evaluation,
     one propagator and one _mobius_apply per step."""
-    s, charts, flagged, worst = s0.mat, [s0.mat], [], 0.0
+    s, charts, flagged, worst, signs = s0.mat, [s0.mat], [], 0.0, []
     for m in range(grid.size - 1):
         h = grid[m + 1] - grid[m]
         phi = mat_exp(h * field.evaluate(grid[m] + 0.5 * h, lam).full())
-        s, cond, defect = _mobius_apply(s, phi)
+        s, cond, defect, sign = _mobius_apply(s, phi)
         if cond > 1.0 / CHART_TOL:
             flagged.append(m + 1)
         worst = max(worst, defect)
         charts.append(s)
-    return np.array(charts), tuple(flagged), worst
+        signs.append(sign)
+    return np.array(charts), tuple(flagged), worst, np.array(signs)
 
 
 class TestBlockedChart:
@@ -237,11 +240,13 @@ class TestBlockedChart:
         grid = np.linspace(field.x_minus, field.x_plus, 4001)
         s0 = chart_from_frame(farfield_frame(field.farfield_minus(lam), "unstable"))
         path = integrate_chart(field, lam, grid, s0)
-        charts, flagged, worst = _chart_per_step(field, lam, grid, s0)
+        charts, flagged, worst, signs = _chart_per_step(field, lam, grid, s0)
         assert flagged  # the row passes chart singularities
         assert path.flagged_samples == flagged
         assert path.max_symmetry_defect == worst
         assert np.array_equal(path.charts, charts)
+        assert np.array_equal(path.den_signs, signs)
+        assert np.any(signs < 0)
 
     @pytest.mark.parametrize("npoints", [2, BLOCK_STEPS + 1, BLOCK_STEPS + 2, 2 * BLOCK_STEPS + 89])
     def test_grid_lengths_across_blocks(self, npoints):
@@ -250,10 +255,11 @@ class TestBlockedChart:
         grid = -3.0 + 0.01 * np.arange(npoints)
         s0 = SymmetricChart(np.diag([0.5, -1.0, 2.0]))
         path = integrate_chart(field, lam, grid, s0)
-        charts, flagged, worst = _chart_per_step(field, lam, grid, s0)
+        charts, flagged, worst, signs = _chart_per_step(field, lam, grid, s0)
         assert np.array_equal(path.charts, charts)
         assert path.flagged_samples == flagged
         assert path.max_symmetry_defect == worst
+        assert np.array_equal(path.den_signs, signs)
 
 
 class TestSingularEigenvalueCount:

@@ -17,7 +17,7 @@ from maslovflow import (
     total_frame_rank_loss,
     validate_coefficients,
 )
-from maslovflow.models import Kdv7Params
+from maslovflow.models import KDV7_AMP, KDV7_C_WAVE
 from maslovflow.selftest import planted_rank_loss_frame
 from conftest import random_lagrangian_frame
 from oracles import svd_rank
@@ -41,9 +41,8 @@ class TestValidateCoefficients:
         assert np.array_equal(c.d, -a.T)
 
     def test_kdv7_blocks_at_origin(self):
-        params = Kdv7Params()
         coeffs = kdv7_coefficients(0.0, 0.0)
-        expected = params.c_wave - 2.0 * params.amp
+        expected = KDV7_C_WAVE - 2.0 * KDV7_AMP
         assert abs(coeffs.c[0, 0] - expected) < 1e-15
         assert coeffs.n == 3
 

@@ -4,7 +4,6 @@ import pytest
 from maslovflow import (
     StructureError,
     SymmetricChart,
-    ThetaTrace,
     UnitarySymmetric,
     cayley,
     chart_from_frame,
@@ -19,14 +18,15 @@ from maslovflow import (
     rotated_coefficients,
     run_trace,
     sym_eig,
-    theta_from_chart,
     unitary_from_frame,
     validate_coefficients,
 )
 from maslovflow.errors import StepSizeError
 from maslovflow.matrixkit import symmetrize
-from maslovflow.riccati import BLOCK_STEPS
-from maslovflow.tolerances import REPROJECT_DEFECT
+import maslovflow.riccati as riccati_mod
+import maslovflow.unitary as unitary_mod
+from maslovflow.riccati import BLOCK_STEPS, _check_theta_steps
+from maslovflow.tolerances import CIRCLE_CONSISTENCY, REPROJECT_DEFECT
 from maslovflow.unitary import _polar_symmetric_project
 from conftest import constant_field, random_lagrangian_frame
 from oracles import riccati_rhs
@@ -62,7 +62,7 @@ class TestCayley:
     def test_eigenvalue_map(self, rng):
         for _ in range(10):
             s = _random_chart(rng, 4, scale=2.0)
-            mu = sym_eig(s.mat).eigenvalues
+            mu, _ = sym_eig(s.mat)
             expected = np.sort_complex((1 - 1j * mu) / (1 + 1j * mu))
             got = np.sort_complex(np.linalg.eigvals(cayley(s).mat))
             assert np.max(np.abs(np.sort(np.angle(got)) - np.sort(np.angle(expected)))) < 1e-10
@@ -87,21 +87,21 @@ class TestUnitaryFromFrame:
 class TestRotatedCoefficients:
     def test_zero_blocks(self):
         coeffs = validate_coefficients(*[np.zeros((2, 2))] * 4)
-        rot = rotated_coefficients(coeffs)
-        assert np.allclose(rot.C, 0.0) and np.allclose(rot.D, 0.0)
+        c_rot, d_rot = rotated_coefficients(coeffs)
+        assert np.allclose(c_rot, 0.0) and np.allclose(d_rot, 0.0)
 
     def test_b_identity_case(self):
         coeffs = validate_coefficients(np.zeros((2, 2)), np.eye(2),
                                        np.zeros((2, 2)), np.zeros((2, 2)))
-        rot = rotated_coefficients(coeffs)
-        assert np.allclose(rot.C, -0.5j * np.eye(2))
-        assert np.allclose(rot.D, 0.5j * np.eye(2))
+        c_rot, d_rot = rotated_coefficients(coeffs)
+        assert np.allclose(c_rot, -0.5j * np.eye(2))
+        assert np.allclose(d_rot, 0.5j * np.eye(2))
 
     def test_flow_consistency_by_finite_differences(self, rng):
         # d/dx Cay(s(x)) must match C + D u - u (D* + C* u) when ds/dx is the
         # chart Riccati RHS
         coeffs = _random_coeffs(rng, 3)
-        rot = rotated_coefficients(coeffs)
+        c_rot, d_rot = rotated_coefficients(coeffs)
         s0 = _random_chart(rng, 3, scale=0.7)
         rhs = riccati_rhs(s0, coeffs)
         h = 1e-5
@@ -109,7 +109,7 @@ class TestRotatedCoefficients:
         u_minus = cayley(SymmetricChart(s0.mat - h * rhs)).mat
         du_fd = (u_plus - u_minus) / (2 * h)
         u = cayley(s0).mat
-        du = rot.C + rot.D @ u - u @ (np.conj(rot.D) + np.conj(rot.C) @ u)
+        du = c_rot + d_rot @ u - u @ (np.conj(d_rot) + np.conj(c_rot) @ u)
         assert np.max(np.abs(du_fd - du)) < 1e-6
 
 
@@ -120,27 +120,27 @@ class TestXiField:
         a = 0.5 * (m - m.T)
         b = symmetrize(rng.standard_normal((2, 2)))
         coeffs = validate_coefficients(a, b, -b, -a.T)
-        rot = rotated_coefficients(coeffs)
-        assert np.max(np.abs(rot.C)) < 1e-15
+        c_rot, d_rot = rotated_coefficients(coeffs)
+        assert np.max(np.abs(c_rot)) < 1e-15
         u = cayley(_random_chart(rng, 2)).mat
         xi = _xi_at(coeffs, u)
-        assert np.max(np.abs(xi - rot.D)) < 1e-12
+        assert np.max(np.abs(xi - d_rot)) < 1e-12
 
     def test_u_identity_substitution(self, rng):
         coeffs = _random_coeffs(rng, 3)
-        rot = rotated_coefficients(coeffs)
+        c_rot, d_rot = rotated_coefficients(coeffs)
         xi = _xi_at(coeffs, np.eye(3, dtype=complex))
-        expected = rot.D + 1j * np.imag(rot.C)
+        expected = d_rot + 1j * np.imag(c_rot)
         assert np.max(np.abs(xi - expected)) < 1e-12
 
     def test_action_identity(self, rng):
         for _ in range(10):
             coeffs = _random_coeffs(rng, 3)
-            rot = rotated_coefficients(coeffs)
+            c_rot, d_rot = rotated_coefficients(coeffs)
             u = cayley(_random_chart(rng, 3)).mat
             xi = _xi_at(coeffs, u)
             lhs = xi @ u - u @ np.conj(xi)
-            rhs = rot.C + rot.D @ u - u @ (np.conj(rot.D) + np.conj(rot.C) @ u)
+            rhs = c_rot + d_rot @ u - u @ (np.conj(d_rot) + np.conj(c_rot) @ u)
             assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
@@ -187,7 +187,7 @@ class TestIntegrateUnitary:
         field = constant_field(coeffs)
         u0 = UnitarySymmetric(np.eye(2, dtype=complex))
         path = integrate_unitary(field, 0.0, np.linspace(0, 1, 51), u0)
-        assert np.allclose(path.theta_trace.theta, 0.0)
+        assert np.allclose(path.theta, 0.0)
 
     @pytest.mark.parametrize("lam,count", [(-5.0, 0), (-2.0, 1), (-0.5, 2)])
     def test_poschl_teller_net_winding_matches_crossings(self, lam, count):
@@ -197,7 +197,7 @@ class TestIntegrateUnitary:
         grid = np.linspace(-20, 20, 4001)
         u0 = unitary_from_frame(farfield_frame(field.farfield_minus(lam), "unstable"))
         path = integrate_unitary(field, lam, grid, u0)
-        theta = path.theta_trace.theta
+        theta = path.theta
         from maslovflow import detect_crossings
 
         assert detect_crossings(path).unsigned_count == count
@@ -214,11 +214,9 @@ class TestIntegrateUnitary:
         assert float(np.max(np.abs(path.sigmas))) < 10.0 * h
         # the stored steps are what theta accumulated
         dtheta = 2.0 * np.imag(np.trace(path.sigmas, axis1=1, axis2=2))
-        assert np.max(np.abs(np.diff(path.theta_trace.theta) - dtheta[1:])) < 1e-12
+        assert np.max(np.abs(np.diff(path.theta) - dtheta[1:])) < 1e-12
 
     def test_structure_gate_raises_above_unitary_type(self, monkeypatch):
-        import maslovflow.unitary as unitary_mod
-
         field = kdv7_field()
         u0 = unitary_from_frame(farfield_frame(field.farfield_minus(0.15), "unstable"))
         with monkeypatch.context() as patch:
@@ -241,8 +239,8 @@ class TestIntegrateUnitary:
         field = poschl_teller_field(2)
         u0 = unitary_from_frame(farfield_frame(field.farfield_minus(-3.0), "unstable"))
         path = integrate_unitary(field, -3.0, np.linspace(-20, 20, 501), u0)
-        assert -np.pi < path.theta_trace.theta0 <= np.pi
-        assert abs(np.exp(1j * path.theta_trace.theta0) - np.linalg.det(u0.mat)) < 1e-12
+        assert -np.pi < path.theta[0] <= np.pi
+        assert abs(np.exp(1j * path.theta[0]) - np.linalg.det(u0.mat)) < 1e-12
 
     def test_rejects_bad_grid(self):
         # the chart route's grid checks: the unitary route used to integrate a
@@ -257,9 +255,25 @@ class TestIntegrateUnitary:
         with pytest.raises(StructureError, match="outside"):
             run_trace(field, -0.5, wide, backend="unitary")
 
-    def test_theta_trace_rejects_big_steps(self):
-        with pytest.raises(StepSizeError):
-            ThetaTrace(grid=np.array([0.0, 1.0]), theta=np.array([0.0, 4.0]), theta0=0.0)
+    def test_angle_gate_shared_by_both_routes(self, monkeypatch):
+        message = "theta moved 4.000 >= pi in one step; refine the grid"
+        with pytest.raises(StepSizeError, match=message):
+            _check_theta_steps(np.array([0.0, 4.0]))
+        # a rotation field turning each of two phases by 2 w h = 2 per step:
+        # the exact angle moves by 4 and the unitary route refuses the step
+        w = np.eye(2)
+        field = constant_field(validate_coefficients(0 * w, w, -w, 0 * w), 0.0, 1.0)
+        grid = np.array([0.0, 1.0])
+        with pytest.raises(StepSizeError, match=message):
+            integrate_unitary(field, 0.0, grid, UnitarySymmetric(np.eye(2, dtype=complex)))
+        # the unwound chart angle moves by less than pi by construction, so
+        # show that the chart route hands its angle to the same gate
+        seen = []
+        monkeypatch.setattr(riccati_mod, "_check_theta_steps", seen.append)
+        monkeypatch.setattr(unitary_mod, "_check_theta_steps", seen.append)
+        cpath = integrate_chart(field, 0.0, grid, SymmetricChart(np.zeros((2, 2))))
+        upath = integrate_unitary(field, 0.0, grid, UnitarySymmetric(np.eye(2, dtype=complex)))
+        assert len(seen) == 2 and seen[0] is cpath.theta and seen[1] is upath.theta
 
 
 def _unitary_per_step(field, lam, grid, u0):
@@ -269,8 +283,8 @@ def _unitary_per_step(field, lam, grid, u0):
     theta = [det_phase(u0.mat)]
     for m in range(grid.size - 1):
         h = grid[m + 1] - grid[m]
-        rot = rotated_coefficients(field.evaluate(grid[m], lam))
-        xi = rot.D - 0.5 * (u @ np.conj(rot.C) - rot.C @ u.conj().T)
+        c_rot, d_rot = rotated_coefficients(field.evaluate(grid[m], lam))
+        xi = d_rot - 0.5 * (u @ np.conj(c_rot) - c_rot @ u.conj().T)
         sigma = h * (0.5 * (xi - xi.conj().T))
         e = mat_exp(sigma)
         u = e @ u @ e.T
@@ -298,10 +312,10 @@ class TestBlockedUnitary:
         us, sigmas, theta = _unitary_per_step(field, lam, grid, u0)
         assert np.array_equal(path.us, us)
         assert np.array_equal(path.sigmas, sigmas)
-        assert np.array_equal(path.theta_trace.theta, theta)
+        assert np.array_equal(path.theta, theta)
 
 
-class TestThetaFromChart:
+class TestChartAngle:
     def test_matches_unitary_route_mod_2pi(self):
         field = poschl_teller_field(2)
         lam = -2.0
@@ -309,8 +323,20 @@ class TestThetaFromChart:
         frame = farfield_frame(field.farfield_minus(lam), "unstable")
         cpath = integrate_chart(field, lam, grid, chart_from_frame(frame))
         upath = integrate_unitary(field, lam, grid, unitary_from_frame(frame))
-        t_chart = theta_from_chart(cpath).theta
-        t_unit = upath.theta_trace.theta
+        t_chart = cpath.theta
+        t_unit = upath.theta
         # same angle up to a global 2 pi multiple and the O(h) method gap
         diff = (t_chart - t_unit) - (t_chart[0] - t_unit[0])
         assert np.max(np.abs(diff)) < 0.05
+
+    @pytest.mark.parametrize("name, lam", [("kdv7", 0.05), ("poschl_teller:2", -0.5)])
+    def test_circle_consistency(self, name, lam):
+        # exp(i theta_m) = det Cay(s_m) at every sample, through the chart
+        # singularities the row passes: the unitary route's circle check
+        field = get_model(name)
+        grid = np.linspace(field.x_minus, field.x_plus, 4001)
+        s0 = chart_from_frame(farfield_frame(field.farfield_minus(lam), "unstable"))
+        path = integrate_chart(field, lam, grid, s0)
+        assert path.flagged_samples
+        dets = np.linalg.det([cayley(path.chart(m)).mat for m in range(grid.size)])
+        assert np.max(np.abs(np.exp(1j * path.theta) - dets)) < CIRCLE_CONSISTENCY
