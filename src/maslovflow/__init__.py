@@ -25,7 +25,6 @@ from .maslov import (
     SweepRow,
     SweepTable,
     TraceResult,
-    crossings_from_chart,
     detect_crossings,
     end_intersection_dimension,
     refine_eigenvalue,

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import BackendDisagreementError, ConfigError, MaslovError, ModelError
 from .maslov import BACKENDS, refine_eigenvalue, run_trace, sweep_lambda
 from .models import ModelSpec, get_model
-from .selftest import SELFTEST_PROPERTIES, run_selftest
+from .selftest import run_selftest
 from .tolerances import CHART_TOL, check_chart_tol
 
 EXIT_OK = 0
@@ -239,13 +239,12 @@ def cmd_trace(cfg: RunConfig) -> int:
                 columns += [f"sigma_re_{i + 1}{j + 1}", f"sigma_im_{i + 1}{j + 1}"]
 
     if have_unitary:
-        us = trace.unitary_path.us
         sig = trace.unitary_path.sigmas
-        det_col = np.angle(np.linalg.det(us))
-        phase_cols = np.sort(np.angle(np.linalg.eigvals(us)), axis=1)
+        phase_cols = trace.unitary_path.phases
+        det_col = np.angle(np.linalg.det(trace.unitary_path.us))
     else:
-        # the eigenphases of Cay(s) are -2 arctan(mu); det Cay(s) is their sum
-        phase_cols = np.sort(-2.0 * np.arctan(trace.chart_path.mu), axis=1)
+        # the phase of det Cay(s) is the sum of its eigenphases
+        phase_cols = trace.chart_path.phases
         det_col = np.angle(np.exp(1j * phase_cols.sum(axis=1)))
     if have_chart:
         clip = 1.0 / cfg.chart_tol
@@ -357,8 +356,8 @@ def cmd_refine(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_selftest(cfg: RunConfig, corrupt: str | None) -> int:
-    reports = run_selftest(chart_tol=cfg.chart_tol, corrupt=corrupt)
+def cmd_selftest(cfg: RunConfig) -> int:
+    reports = run_selftest(chart_tol=cfg.chart_tol)
     for report in reports:
         print(report.line())
     if all(r.passed for r in reports):
@@ -407,12 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
                        ("sweep", "sweep lambda and locate eigenvalue brackets"),
                        ("refine", "bisect one crossing-count jump"),
                        ("selftest", "run the built-in invariant suite")):
-        p = sub.add_parser(name, help=desc)
-        add_common(p)
-        if name == "selftest":
-            p.add_argument("--corrupt", type=str, default=None,
-                           choices=SELFTEST_PROPERTIES, metavar="PROPERTY",
-                           help="test hook: set one property's bound to 0 to force its failure")
+        add_common(sub.add_parser(name, help=desc))
     return parser
 
 
@@ -428,7 +422,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "refine":
             return cmd_refine(cfg)
         if args.command == "selftest":
-            return cmd_selftest(cfg, getattr(args, "corrupt", None))
+            return cmd_selftest(cfg)
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -23,9 +23,9 @@ from .errors import (
     StructureError,
 )
 from .models import ModelSpec, get_model
-from .riccati import ChartPath, SymmetricChart, integrate_chart
+from .riccati import ChartPath, SymmetricChart, _match_phases, integrate_chart
 from .system import CoefficientField, LagrangianFrame, chart_from_frame, farfield_frame
-from .tolerances import CHART_TOL, END_FLAG_ANGLE, PHASE_MATCH_REJECT, check_chart_tol
+from .tolerances import CHART_TOL, END_FLAG_ANGLE, check_chart_tol
 from .unitary import UnitaryPath, UnitarySymmetric, cayley, integrate_unitary, unitary_from_frame
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "RefineResult",
     "TraceResult",
     "detect_crossings",
-    "crossings_from_chart",
     "end_intersection_dimension",
     "run_trace",
     "sweep_lambda",
@@ -74,53 +73,15 @@ class MaslovResult:
     signed_index: int
 
 
-def detect_crossings(u_path: UnitaryPath) -> MaslovResult:
-    """Passages of spec(u) through -1 along a unitary path, counted from the
-    path's exact angle (see ``_count_from_angle``).
+def detect_crossings(path: ChartPath | UnitaryPath) -> MaslovResult:
+    """Passages of the eigenphases through pi along a path of either route,
+    counted from the path's phases and angle (see ``_count_from_angle``).
 
-    Consecutive samples of u must differ by less than 0.5 in every entry.
+    The integrators have refused every step the count cannot follow.
     """
-    us, grid = u_path.us, u_path.grid
-    if us.shape[0] != grid.size:
-        raise StructureError("u path and grid lengths disagree")
-    jumps = np.max(np.abs(np.diff(us, axis=0)), axis=(1, 2))
-    if jumps.size and float(np.max(jumps)) >= 0.5:
-        raise StepSizeError(
-            f"consecutive u samples differ by {float(np.max(jumps)):.3f} >= 0.5; refine the grid")
-    phases = np.angle(np.linalg.eigvals(us))
-    return _count_from_angle(phases, u_path.theta, grid)
-
-
-def crossings_from_chart(path: ChartPath) -> MaslovResult:
-    """Crossings along a chart path: eigenvalues of s through infinity.
-
-    Uses the circle coordinates -2 arctan(mu), which are the eigenphases of
-    Cay(s), and the angle the path unwinds from them; a passage of mu
-    through +-infinity is a passage of the phase through pi, so chart and
-    unitary routes count identically.
-
-    An unwound angle is blind to a step whose eigenphases move by pi or
-    more in net.  Each eigenvalue of s passing infinity flips the sign of
-    det of the step's Moebius denominator, so a step whose net passage
-    count k has the other parity is refused (``StepSizeError``).
-    """
-    phases = -2.0 * np.arctan(path.mu)
-    result = _count_from_angle(phases, path.theta, path.grid)
-    _, k = _net_passages(phases, path.theta)
-    bad = np.flatnonzero((k % 2 == 1) != (path.den_signs < 0))
-    if bad.size:
-        m = int(bad[0])
-        raise StepSizeError(f"chart angle lost at sample {m + 1}: net passage count {k[m]} "
-                            "disagrees in parity with the Moebius denominator; refine the grid")
-    return result
-
-
-def _net_passages(phases: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The principal eigenphases (N, n) sorted in (-pi, pi], and each step's
-    net number k = (dtheta - d sum(phases)) / 2 pi of them passing pi upward."""
-    phases = np.sort(np.where(phases == -np.pi, np.pi, phases), axis=1)
-    k = np.rint((np.diff(theta) - np.diff(phases.sum(axis=1))) / (2.0 * np.pi)).astype(int)
-    return phases, k
+    if path.phases.shape[0] != path.grid.size or path.theta.shape != path.grid.shape:
+        raise StructureError("path and grid lengths disagree")
+    return _count_from_angle(path.phases, path.theta, path.grid)
 
 
 def _count_from_angle(
@@ -128,36 +89,16 @@ def _count_from_angle(
     theta: np.ndarray,
     grid: np.ndarray,
 ) -> MaslovResult:
-    """Crossings from the principal eigenphases (N, n) of u and the angle
-    theta (the sum of the continuous eigenphases).
+    """Crossings from the sorted principal eigenphases (N, n) of u and the
+    angle theta (the sum of the continuous eigenphases).
 
-    Over step m the net number of eigenphases passing pi upward is
-    k = (dtheta - d sum(phases)) / 2 pi, an integer.  With the phases sorted
-    in (-pi, pi], the one consistent matching is a cyclic shift by k: sorted
-    phase i at sample m continues as phase (i + k) mod n at sample m + 1,
-    lifted by 2 pi floor((i + k) / n), and its motions sum to dtheta.  A step
-    with k != 0 gives one record of multiplicity |k| and direction sign(k) at
-    the mean of the linearly interpolated passages of its wrapping pairs.
-    A step is refused (``StepSizeError``) when a matched motion exceeds
-    ``PHASE_MATCH_REJECT`` or the motions sum in absolute value to pi or
-    more, beyond which an unwound theta could pick another matching.
+    Each step's net passage count k and the matching it gives come from
+    ``_match_phases``.  A step with k != 0 gives one record of multiplicity
+    |k| and direction sign(k) at the mean of the linearly interpolated
+    passages of its wrapping pairs.
     """
-    phases, k = _net_passages(phases, theta)
-    n = phases.shape[1]
-    shifted = np.arange(n) + k[:, None]
-    wraps = shifted // n
+    k, wraps, cur = _match_phases(phases, theta)
     prev = phases[:-1]
-    cur = np.take_along_axis(phases[1:], shifted % n, axis=1) + 2.0 * np.pi * wraps
-    motion = np.abs(cur - prev)
-    worst, total = motion.max(axis=1), motion.sum(axis=1)
-    bad = np.flatnonzero((worst > PHASE_MATCH_REJECT) | (total >= np.pi))
-    if bad.size:
-        m = int(bad[0])
-        if worst[m] > PHASE_MATCH_REJECT:
-            raise StepSizeError(f"phase tracking lost at sample {m + 1}: "
-                                f"step moved a phase by {worst[m]:.3f} rad")
-        raise StepSizeError(f"phase tracking lost at sample {m + 1}: "
-                            f"step moved the phases by {total[m]:.3f} rad in all, >= pi")
     records = []
     for m in np.flatnonzero(k):
         direction = int(np.sign(k[m]))
@@ -191,6 +132,7 @@ def end_intersection_dimension(
 def _end_of_interval_flag(
     crossings: list[CrossingRecord],
     grid: np.ndarray,
+    end_phases: np.ndarray,
     u_end: np.ndarray,
     u_ref: np.ndarray | None,
     chart_tol: float,
@@ -199,15 +141,14 @@ def _end_of_interval_flag(
 
     Fires when the run is truncation-sensitive: a crossing sits within one
     step of x_plus, the final plane is within ``chart_tol`` of the train
-    (an eigenphase of u_end near pi, i.e. a huge chart eigenvalue at the
-    end), or the final plane intersects the far-field reference plane within
-    ``END_FLAG_ANGLE``.  Near-exact spectral eigenvalues produce the middle
-    signature; the dimension of the reference-plane intersection is returned
-    alongside.
+    (an eigenphase ``end_phases`` of u_end near pi, i.e. a huge chart
+    eigenvalue at the end), or the final plane intersects the far-field
+    reference plane within ``END_FLAG_ANGLE``.  Near-exact spectral
+    eigenvalues produce the middle signature; the dimension of the
+    reference-plane intersection is returned alongside.
     """
     h = float(grid[-1] - grid[-2])
     edge_crossing = any(c.x > grid[-1] - 1.5 * h for c in crossings)
-    end_phases = np.angle(np.linalg.eigvals(u_end))
     near_train = bool(np.min(np.abs(np.abs(end_phases) - np.pi)) < chart_tol)
     end_dim = 0
     if u_ref is not None:
@@ -280,7 +221,7 @@ def _run_row(
     """The per-lambda core behind traces, sweep rows and refine probes.
 
     From the ``_far_field_ends`` data it integrates the requested route(s),
-    detects crossings on each, and sets the end-of-interval flag.  Counts of
+    counts crossings on each, and sets the end-of-interval flag.  Counts of
     both routes are returned, not compared.
     """
     frame0, init_mode, u_ref = ends
@@ -291,7 +232,7 @@ def _run_row(
     if backend != "unitary":
         s0 = SymmetricChart(np.zeros((n, n))) if frame0 is None else chart_from_frame(frame0)
         chart_path = integrate_chart(field, lam, grid, s0, chart_tol)
-        result = crossings_from_chart(chart_path)
+        result = detect_crossings(chart_path)
         count_chart = result.unsigned_count
     if backend != "chart":
         u0 = UnitarySymmetric(np.eye(n, dtype=complex)) if frame0 is None else unitary_from_frame(frame0)
@@ -299,12 +240,13 @@ def _run_row(
         result = detect_crossings(u_path)
         count_unitary = result.unsigned_count
     if u_path is None:
-        theta, u_end = chart_path.theta, cayley(chart_path.chart(-1)).mat
+        path, u_end = chart_path, cayley(chart_path.chart(-1)).mat
     else:
-        theta, u_end = u_path.theta, u_path.us[-1]
-    end_flag, end_dim = _end_of_interval_flag(result.crossings, grid, u_end, u_ref, chart_tol)
+        path, u_end = u_path, u_path.us[-1]
+    end_flag, end_dim = _end_of_interval_flag(result.crossings, grid, path.phases[-1], u_end,
+                                              u_ref, chart_tol)
     return TraceResult(lam=lam, grid=grid, backend=backend, init_mode=init_mode,
-                       theta=theta, unitary_path=u_path, chart_path=chart_path,
+                       theta=path.theta, unitary_path=u_path, chart_path=chart_path,
                        result=result, end_flag=end_flag, end_dimension=end_dim,
                        count_chart=count_chart, count_unitary=count_unitary)
 
@@ -388,7 +330,7 @@ def _sweep_row(field: CoefficientField, lam: float, grid: np.ndarray, backend: s
 
     A lambda outside the method's domain (a far field not hyperbolic, or a
     start plane off the chart) gives a skipped row; numerical failures of
-    the integration or detection propagate.
+    the integration propagate.
     """
     try:
         ends = _far_field_ends(field, lam, "farfield")
@@ -408,8 +350,8 @@ def _sweep_row(field: CoefficientField, lam: float, grid: np.ndarray, backend: s
 
 
 def _sweep_chunk(job: tuple) -> list[SweepRow]:
-    """Rows for a chunk of lambdas on one field; a row whose integration or
-    detection fails numerically gets status "error" and the reason."""
+    """Rows for a chunk of lambdas on one field; a row whose integration
+    fails numerically gets status "error" and the reason."""
     spec, lambdas, grid, backend, chart_tol = job
     field = get_model(spec)
     rows = []
@@ -493,8 +435,9 @@ def refine_eigenvalue(
 ) -> RefineResult:
     """Bisect a lambda bracket on the crossing-count jump.
 
-    Requires the unsigned counts at the bracket ends to differ; returns the
-    bracket midpoint once the bracket is shorter than ``tol_lambda``.  The
+    Requires the unsigned counts at the bracket ends to differ and a
+    positive ``tol_lambda``; returns the bracket midpoint once the bracket
+    is shorter than ``tol_lambda`` or its ends are adjacent floats.  The
     field is built once; a probe that is skipped or fails raises, and with
     ``backend="both"`` so does a probe whose routes disagree
     (``BackendDisagreementError``).
@@ -504,6 +447,8 @@ def refine_eigenvalue(
     spec = ModelSpec.parse(model) if isinstance(model, str) else model
     if not lam_lo < lam_hi:
         raise ConfigError("need lam_lo < lam_hi")
+    if not tol_lambda > 0:
+        raise ConfigError(f"tol_lambda must be positive, got {tol_lambda}")
     check_chart_tol(chart_tol)
     field = get_model(spec)
     x_grid = np.asarray(x_grid, dtype=float)
@@ -524,6 +469,8 @@ def refine_eigenvalue(
     lo, hi = float(lam_lo), float(lam_hi)
     while hi - lo > tol_lambda:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # adjacent floats: the bracket cannot shrink further
+            break
         if count_at(mid) == c_lo:
             lo = mid
         else:

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import StepSizeError, StructureError
 from .matrixkit import mat_exp, symmetrize
 from .system import CoefficientField
-from .tolerances import CHART_TOL, check_chart_tol
+from .tolerances import CHART_TOL, PHASE_MATCH_REJECT, check_chart_tol
 
 # Steps whose state-independent work (field evaluation, propagators) is done
 # together; bounded so the stacks stay small on any grid.
@@ -52,10 +52,13 @@ class SymmetricChart:
 
 @dataclass(frozen=True)
 class ChartPath:
-    """Chart samples along the grid with their eigenvalues and angle.
+    """Chart samples along the grid with their eigenvalues, eigenphases and
+    angle.
 
     ``charts[m]`` is the exactly-symmetric chart at ``grid[m]``, ``mu[m]``
-    its ascending eigenvalues and ``theta[m]`` the unwound -2 tr arctan(s).
+    its ascending eigenvalues, ``phases[m]`` the eigenphases -2 arctan(mu)
+    of Cay(s) as ``_principal_phases`` orders them, and ``theta[m]`` the
+    unwound -2 tr arctan(s).
     ``den_signs[m]``, the sign of det of step m's Moebius denominator, is -1
     when an odd number of eigenvalues of s passed infinity in the step.
     ``flagged_samples`` marks grid indices where that denominator was
@@ -66,6 +69,7 @@ class ChartPath:
     grid: np.ndarray
     charts: np.ndarray
     mu: np.ndarray
+    phases: np.ndarray
     theta: np.ndarray
     den_signs: np.ndarray
     flagged_samples: tuple[int, ...] = ()
@@ -81,6 +85,70 @@ def _check_theta_steps(theta: np.ndarray) -> None:
     worst = float(np.max(np.abs(np.diff(theta))))
     if worst >= np.pi:
         raise StepSizeError(f"theta moved {worst:.3f} >= pi in one step; refine the grid")
+
+
+def _principal_phases(phases: np.ndarray) -> np.ndarray:
+    """Principal eigenphases (N, n) sorted along each row in (-pi, pi], with
+    -pi taken as pi."""
+    return np.sort(np.where(phases == -np.pi, np.pi, phases), axis=1)
+
+
+def _match_phases(phases: np.ndarray,
+                  theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each step's net number k of eigenphases passing pi upward, and the
+    matching of sorted principal phases (N, n) that k gives.
+
+    k = (dtheta - d sum(phases)) / 2 pi is an integer.  With the phases
+    sorted in (-pi, pi], the one consistent matching is a cyclic shift by k:
+    sorted phase i at sample m continues as phase (i + k) mod n at sample
+    m + 1, lifted by 2 pi floor((i + k) / n), and its motions sum to dtheta.
+    Returns k (N - 1,), the lifts floor((i + k) / n) and the continued
+    phases (N - 1, n).
+    """
+    n = phases.shape[1]
+    k = np.rint((np.diff(theta) - np.diff(phases.sum(axis=1))) / (2.0 * np.pi)).astype(int)
+    shifted = np.arange(n) + k[:, None]
+    wraps = shifted // n
+    cur = np.take_along_axis(phases[1:], shifted % n, axis=1) + 2.0 * np.pi * wraps
+    return k, wraps, cur
+
+
+def _check_phase_steps(phases: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Refuse (``StepSizeError``) a step whose matched phase motion exceeds
+    ``PHASE_MATCH_REJECT`` or whose matched motions sum in absolute value to
+    pi or more, beyond which an unwound theta could pick another matching;
+    both routes gate their phases here.  Returns each step's net passage
+    count k."""
+    k, _, cur = _match_phases(phases, theta)
+    motion = np.abs(cur - phases[:-1])
+    worst, total = motion.max(axis=1), motion.sum(axis=1)
+    bad = np.flatnonzero((worst > PHASE_MATCH_REJECT) | (total >= np.pi))
+    if bad.size:
+        m = int(bad[0])
+        if worst[m] > PHASE_MATCH_REJECT:
+            raise StepSizeError(f"phase tracking lost at sample {m + 1}: "
+                                f"step moved a phase by {worst[m]:.3f} rad")
+        raise StepSizeError(f"phase tracking lost at sample {m + 1}: "
+                            f"step moved the phases by {total[m]:.3f} rad in all, >= pi")
+    return k
+
+
+def _check_chart_steps(phases: np.ndarray, theta: np.ndarray, den_signs: np.ndarray) -> None:
+    """The chart route's step gates, in order: the angle, the phase motion,
+    and the parity of each step's net passage count k.
+
+    An unwound angle is blind to a step whose eigenphases move by pi or more
+    in net.  Each eigenvalue of s passing infinity flips the sign of det of
+    the step's Moebius denominator, so a step whose k has the other parity
+    is refused (``StepSizeError``).
+    """
+    _check_theta_steps(theta)
+    k = _check_phase_steps(phases, theta)
+    bad = np.flatnonzero((k % 2 == 1) != (den_signs < 0))
+    if bad.size:
+        m = int(bad[0])
+        raise StepSizeError(f"chart angle lost at sample {m + 1}: net passage count {k[m]} "
+                            "disagrees in parity with the Moebius denominator; refine the grid")
 
 
 def _unwound_theta(mu: np.ndarray) -> np.ndarray:
@@ -160,8 +228,8 @@ def integrate_chart(
     flagged.  If a denominator is exactly singular (the solve fails) the
     step is retried as two half steps (the singular set is isolated), the
     sample flagged and the product of the two denominator signs recorded.
-    The angle is unwound from the chart eigenvalues and gated by
-    ``_check_theta_steps``.
+    The angle is unwound from the chart eigenvalues, and every step passes
+    the gates of ``_check_chart_steps``.
     """
     check_chart_tol(chart_tol)
     grid = field.check_grid(grid)
@@ -213,7 +281,9 @@ def integrate_chart(
     flagged = tuple(int(m) + 1 for m in np.flatnonzero(flag))
 
     mu = np.linalg.eigvalsh(charts)
+    phases = _principal_phases(-2.0 * np.arctan(mu))
     theta = _unwound_theta(mu)
-    _check_theta_steps(theta)
-    return ChartPath(grid=grid, charts=charts, mu=mu, theta=theta, den_signs=den_signs,
-                     flagged_samples=flagged, max_symmetry_defect=float(defects.max()))
+    _check_chart_steps(phases, theta, den_signs)
+    return ChartPath(grid=grid, charts=charts, mu=mu, phases=phases, theta=theta,
+                     den_signs=den_signs, flagged_samples=flagged,
+                     max_symmetry_defect=float(defects.max()))

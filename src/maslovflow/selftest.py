@@ -2,9 +2,7 @@
 
 Each property is checked with an explicit numeric bound and reports its worst
 observed defect, so regressions show up as numbers rather than booleans; a
-property passes when its worst defect is below its bound.  The ``corrupt``
-hook sets one property's bound to 0 to let tests verify that failures
-propagate to a nonzero exit code.
+property passes when its worst defect is below its bound.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ __all__ = [
     "check_theorem1",
     "check_route_agreement",
     "run_selftest",
-    "SELFTEST_PROPERTIES",
 ]
 
 
@@ -156,18 +153,6 @@ def _check_backend_agreement(bound: float, chart_tol: float) -> PropertyReport:
                           "chart vs unitary crossing counts on both bundled models")
 
 
-def _theta_via_trace_formula(us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample -2 tr arctan(s) along a unitary path, plus a mask of the
-    samples where the chart exists with all |mu_i| < 10.
-
-    Uses the spectral identity: eigenphases of Cay(s) are -2 arctan(mu_i),
-    so -2 tr arctan(s) is the sum of the principal eigenphases of u.
-    """
-    phases = np.angle(np.linalg.eigvals(us))
-    keep = np.all(np.abs(phases) < 2.0 * np.arctan(10.0), axis=1)
-    return np.sum(phases, axis=1), keep
-
-
 def check_route_agreement(cases: Sequence[tuple[str, float]], bound: float) -> PropertyReport:
     """Trace-formula route vs sigma-accumulation route for each (model name,
     lambda) in ``cases``: 4000 unitary steps across the model's window from
@@ -179,7 +164,10 @@ def check_route_agreement(cases: Sequence[tuple[str, float]], bound: float) -> P
         grid = np.linspace(field.x_minus, field.x_plus, 4001)
         frame = farfield_frame(field.farfield_minus(lam), "unstable")
         path = integrate_unitary(field, lam, grid, unitary_from_frame(frame))
-        base, keep = _theta_via_trace_formula(path.us)
+        # the eigenphases of Cay(s) are -2 arctan(mu_i), so -2 tr arctan(s) is
+        # the sum of the principal eigenphases of u where the chart exists
+        base = np.sum(path.phases, axis=1)
+        keep = np.all(np.abs(path.phases) < 2.0 * np.arctan(10.0), axis=1)
         anchor = int(np.nonzero(keep)[0][0])
         offset = path.theta[anchor] - base[anchor]
         offset = round(offset / (2.0 * np.pi)) * 2.0 * np.pi
@@ -195,14 +183,6 @@ def check_route_agreement(cases: Sequence[tuple[str, float]], bound: float) -> P
                           "theta from -2 tr arctan(s) vs sigma accumulation, |mu| < 10 stretch")
 
 
-SELFTEST_PROPERTIES = (
-    "trace_formula",
-    "unitarity_drift",
-    "theorem1_equivalence",
-    "backend_agreement",
-    "route_agreement",
-)
-
 _BOUNDS = {
     "trace_formula": 1e-10,
     "unitarity_drift": 1e-9,
@@ -216,22 +196,16 @@ _ROUTE_CASES = (("poschl_teller:2", -2.0), ("kdv7", 0.15))
 
 def run_selftest(
     chart_tol: float = CHART_TOL,
-    corrupt: str | None = None,
     seed: int = 20240611,
 ) -> list[PropertyReport]:
-    """Run the invariant suite; returns one report per property."""
-    if corrupt is not None and corrupt not in SELFTEST_PROPERTIES:
-        raise ValueError(f"unknown property {corrupt!r}; choose from {SELFTEST_PROPERTIES}")
+    """Run the invariant suite; returns one report per property, in the
+    order of ``_BOUNDS``."""
     check_chart_tol(chart_tol)
-    bounds = dict(_BOUNDS)
-    if corrupt is not None:
-        bounds[corrupt] = 0.0
     rng = np.random.default_rng(seed)
-    reports = [
-        check_trace_formula(rng, bounds["trace_formula"]),
-        check_unitarity_drift(bounds["unitarity_drift"]),
-        check_theorem1(rng, bounds["theorem1_equivalence"], chart_tol),
-        _check_backend_agreement(bounds["backend_agreement"], chart_tol),
-        check_route_agreement(_ROUTE_CASES, bounds["route_agreement"]),
+    return [
+        check_trace_formula(rng, _BOUNDS["trace_formula"]),
+        check_unitarity_drift(_BOUNDS["unitarity_drift"]),
+        check_theorem1(rng, _BOUNDS["theorem1_equivalence"], chart_tol),
+        _check_backend_agreement(_BOUNDS["backend_agreement"], chart_tol),
+        check_route_agreement(_ROUTE_CASES, _BOUNDS["route_agreement"]),
     ]
-    return reports

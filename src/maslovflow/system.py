@@ -207,9 +207,6 @@ class LagrangianFrame:
     def n(self) -> int:
         return self.q.shape[0]
 
-    def stacked(self) -> np.ndarray:
-        return np.vstack([self.q, self.p])
-
 
 def _cond2(m: np.ndarray) -> float:
     sv = np.linalg.svd(m, compute_uv=False)

@@ -16,9 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StructureError
+from .errors import StepSizeError, StructureError
 from .matrixkit import det_phase, mat_exp, sym_eig
-from .riccati import BLOCK_STEPS, SymmetricChart, _check_theta_steps
+from .riccati import (
+    BLOCK_STEPS,
+    SymmetricChart,
+    _check_phase_steps,
+    _check_theta_steps,
+    _principal_phases,
+)
 from .system import CoefficientField, LagrangianFrame, SymplecticCoefficients
 from .tolerances import CIRCLE_CONSISTENCY, REPROJECT_DEFECT, UNITARY_TYPE
 
@@ -57,17 +63,21 @@ class UnitarySymmetric:
 
 @dataclass(frozen=True)
 class UnitaryPath:
-    """Unitary samples with the accumulated angle and drift diagnostics.
+    """Unitary samples with their eigenphases, the accumulated angle and
+    drift diagnostics.
 
-    ``theta`` is the angle between the evolving plane and the standard
-    reference plane, accumulated without branch ambiguity; ``sigmas[m]`` is
-    the Lie-algebra step that produced sample m (zero at m = 0).  Defects are measured on the raw step products, before any
+    ``phases[m]`` are the eigenphases of ``us[m]`` as ``_principal_phases``
+    orders them; ``theta`` is the angle between the evolving plane and the
+    standard reference plane, accumulated without branch ambiguity;
+    ``sigmas[m]`` is the Lie-algebra step that produced sample m (zero at
+    m = 0).  Defects are measured on the raw step products, before any
     re-projection, so they quantify the intrinsic drift of the scheme.
     """
 
     grid: np.ndarray
     us: np.ndarray
     sigmas: np.ndarray
+    phases: np.ndarray
     theta: np.ndarray
     max_unitarity_defect: float
     max_symmetry_defect: float
@@ -133,7 +143,9 @@ def integrate_unitary(
     :meth:`CoefficientField.check_grid`.  Theta starts at the principal
     value of -i log det u0; the sampled path satisfies exp(i theta_m) =
     det u_m up to roundoff, and the worst circle defect is recorded and
-    gated, then the steps of theta by ``_check_theta_steps``.
+    gated.  Every step then passes, in order, ``_check_theta_steps``, a
+    bound of 0.5 on the change of any entry of u, and
+    ``_check_phase_steps``.
     """
     grid = field.check_grid(grid)
     if u0.n != field.n:
@@ -182,7 +194,12 @@ def integrate_unitary(
         raise StructureError(
             f"theta/determinant circle consistency broken: defect {circle:.3e}")
     _check_theta_steps(theta)
-    return UnitaryPath(grid=grid, us=us, sigmas=sigmas, theta=theta,
+    jump = float(np.max(np.abs(np.diff(us, axis=0))))
+    if jump >= 0.5:
+        raise StepSizeError(f"consecutive u samples differ by {jump:.3f} >= 0.5; refine the grid")
+    phases = _principal_phases(np.angle(np.linalg.eigvals(us)))
+    _check_phase_steps(phases, theta)
+    return UnitaryPath(grid=grid, us=us, sigmas=sigmas, phases=phases, theta=theta,
                        max_unitarity_defect=max_u_defect,
                        max_symmetry_defect=max_s_defect,
                        max_circle_defect=circle,

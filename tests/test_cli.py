@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from maslovflow.cli import EXIT_CONFIG, EXIT_DISAGREE, EXIT_MODEL, EXIT_NUMERICAL, EXIT_OK, main
-from maslovflow.selftest import SELFTEST_PROPERTIES
+import maslovflow.selftest as selftest
 
 
 def _read(path):
@@ -232,10 +232,12 @@ class TestSelftest:
         assert out.count("PASS") == 5
         assert "max defect" in out
 
-    def test_corrupted_tolerance_fails(self, capsys):
-        for prop in SELFTEST_PROPERTIES:
-            rc = main(["selftest", "--corrupt", prop])
-            assert rc != 0, prop
+    def test_corrupted_tolerance_fails(self, capsys, monkeypatch):
+        for prop in list(selftest._BOUNDS):
+            with monkeypatch.context() as patch:
+                patch.setitem(selftest._BOUNDS, prop, 0.0)
+                rc = main(["selftest"])
+            assert rc == 1, prop
             lines = capsys.readouterr().out.splitlines()
             assert [ln.split()[1] for ln in lines if ln.startswith("FAIL")] == [prop + ":"]
 

@@ -31,7 +31,7 @@ PUBLIC_NAMES = {
     "StepSizeError", "StructureError",
     # maslov
     "CrossingRecord", "MaslovResult", "RefineResult", "SweepRow", "SweepTable", "TraceResult",
-    "crossings_from_chart", "detect_crossings", "end_intersection_dimension",
+    "detect_crossings", "end_intersection_dimension",
     "refine_eigenvalue", "run_trace", "sweep_lambda",
     # matrixkit
     "det_phase", "mat_exp", "sym_arctan", "sym_eig",

@@ -16,7 +16,6 @@ from maslovflow import (
     UnitaryPath,
     cayley,
     detect_crossings,
-    crossings_from_chart,
     end_intersection_dimension,
     get_model,
     integrate_chart,
@@ -28,8 +27,13 @@ from maslovflow import (
     validate_coefficients,
 )
 from maslovflow.errors import BackendDisagreementError, StepSizeError, StructureError
-from maslovflow.maslov import _count_from_angle
-from maslovflow.riccati import _unwound_theta
+from maslovflow.maslov import SweepRow, _count_from_angle
+from maslovflow.riccati import (
+    _check_chart_steps,
+    _check_phase_steps,
+    _principal_phases,
+    _unwound_theta,
+)
 from maslovflow.selftest import run_selftest
 from maslovflow.tolerances import CHART_TOL
 from conftest import constant_field
@@ -41,20 +45,25 @@ def _grid(n=4001, lo=-20.0, hi=20.0):
 
 
 def scripted_path(grid, branches, v=None):
-    """Unitary path u = V diag(exp(i branches)) V^T carrying its exact angle,
-    the sum of the continuous eigenphase branches (N, n)."""
+    """Unitary path u = V diag(exp(i branches)) V^T carrying its eigenphases
+    and its exact angle, the sum of the continuous eigenphase branches
+    (N, n); no step gate has seen it."""
     branches = np.asarray(branches, dtype=float).reshape(grid.size, -1)
     v = np.eye(branches.shape[1]) if v is None else v
     us = np.einsum("ij,mj,kj->mik", v, np.exp(1j * branches), v)
-    return UnitaryPath(grid=grid, us=us, sigmas=np.zeros_like(us), theta=branches.sum(axis=1),
-                       max_unitarity_defect=0.0, max_symmetry_defect=0.0,
-                       max_circle_defect=0.0)
+    return UnitaryPath(grid=grid, us=us, sigmas=np.zeros_like(us),
+                       phases=_principal_phases(np.angle(np.linalg.eigvals(us))),
+                       theta=branches.sum(axis=1), max_unitarity_defect=0.0,
+                       max_symmetry_defect=0.0, max_circle_defect=0.0)
 
 
 class TestDetectCrossings:
     def test_constant_path_has_none(self):
         grid = np.linspace(0, 1, 11)
-        assert detect_crossings(scripted_path(grid, np.zeros((11, 2)))).crossings == ()
+        path = scripted_path(grid, np.zeros((11, 2)))
+        assert detect_crossings(path).crossings == ()
+        with pytest.raises(StructureError, match="path and grid lengths disagree"):
+            detect_crossings(dataclasses.replace(path, grid=grid[:-1]))
 
     def test_scripted_scalar_crossing(self):
         grid = np.linspace(-0.5, 0.5, 101)
@@ -98,25 +107,38 @@ class TestDetectCrossings:
         assert trace.result.unsigned_count == expected
 
     def test_big_step_rejected(self):
-        grid = np.linspace(0, 1, 3)
+        # a rotation field turning the phase of u by 2 w h = 0.6 per step:
+        # the angle passes its gate, the change of u does not
+        w = np.eye(1)
+        field = constant_field(validate_coefficients(0 * w, w, -w, 0 * w), 0.0, 0.6)
+        grid = np.linspace(0.0, 0.6, 3)
         with pytest.raises(StepSizeError, match="u samples differ by 0.591"):
-            detect_crossings(scripted_path(grid, [0.0, 0.6, 1.2]))
+            integrate_unitary(field, 0.0, grid, cayley(SymmetricChart(np.zeros((1, 1)))))
 
     def test_phase_motion_gate(self):
-        # the u-jump gate sits on the unitary route only; the count sees the phases
-        grid = np.linspace(0, 1, 3)
+        # the phase gate alone, without the unitary route's u-jump gate
         phases = np.array([[0.0], [0.5], [1.5]])
         with pytest.raises(StepSizeError,
                            match="lost at sample 2: step moved a phase by 1.000 rad"):
-            _count_from_angle(phases, phases[:, 0], grid)
+            _check_phase_steps(phases, phases[:, 0])
+        # both integrators run it: a field turning one phase, along
+        # (1, 1, 1, 1) / 2, by 0.8 > pi/4 in one step, which changes no entry
+        # of u by as much as 0.2
+        p = np.full((4, 4), 0.25)
+        field = constant_field(validate_coefficients(0 * p, 0.4 * p, -0.4 * p, 0 * p), 0.0, 1.0)
+        grid = np.array([0.0, 1.0])
+        for integrate, start in ((integrate_chart, SymmetricChart(np.zeros((4, 4)))),
+                                 (integrate_unitary, cayley(SymmetricChart(np.zeros((4, 4)))))):
+            with pytest.raises(StepSizeError,
+                               match="lost at sample 1: step moved a phase by 0.800 rad"):
+                integrate(field, 0.0, grid, start)
 
     def test_summed_motion_gate(self):
         # five phases, each moving 0.7 < pi/4 without passing another, in all 3.5 >= pi
-        grid = np.linspace(0, 1, 2)
         start = np.array([-2.0, -1.2, -0.4, 0.4, 1.2])
         phases = np.stack([start, start + 0.7 * np.array([-1, -1, -1, 1, 1])])
         with pytest.raises(StepSizeError, match="moved the phases by 3.500 rad in all, >= pi"):
-            _count_from_angle(phases, phases.sum(axis=1), grid)
+            _check_phase_steps(phases, phases.sum(axis=1))
 
     def test_chart_step_moving_pi_in_net_refused(self):
         # five phases each turning 0.7 per step, one of them passing pi in
@@ -126,15 +148,13 @@ class TestDetectCrossings:
         field = constant_field(validate_coefficients(0 * w, w, -w, 0 * w), 0.0, 10.0)
         s0 = SymmetricChart(np.diag(-np.tan(0.5 * np.array([-2.463, -1.207, 0.05, 1.307, 2.563]))))
         grid = np.linspace(0.0, 10.0, 11)
-        path = integrate_chart(field, 0.0, grid, s0)
-        assert path.den_signs[0] == -1
         with pytest.raises(StepSizeError, match="chart angle lost at sample 1: net passage count 0"):
-            crossings_from_chart(path)
+            integrate_chart(field, 0.0, grid, s0)
         with pytest.raises(StepSizeError, match="theta moved 3.500 >= pi"):
             integrate_unitary(field, 0.0, grid, cayley(s0))
         # ten times finer, both routes count the six passages
         grid = np.linspace(0.0, 10.0, 101)
-        result = crossings_from_chart(integrate_chart(field, 0.0, grid, s0))
+        result = detect_crossings(integrate_chart(field, 0.0, grid, s0))
         assert result.unsigned_count == result.signed_index == 6
         assert detect_crossings(integrate_unitary(field, 0.0, grid, cayley(s0))).signed_index == 6
 
@@ -167,15 +187,17 @@ def branch_paths(draw, n_min=1, low=0.0, net_max=None, total_max=None):
 
 
 def _count_exact(branches, v):
-    """The detector on u = V diag(exp(i branches)) V^T and the exact angle."""
+    """The phase gate and the count on u = V diag(exp(i branches)) V^T and
+    the exact angle."""
     grid = np.linspace(0.0, 1.0, branches.shape[0])
     path = scripted_path(grid, branches, v)
-    return _count_from_angle(np.angle(np.linalg.eigvals(path.us)), path.theta, grid)
+    _check_phase_steps(path.phases, path.theta)
+    return detect_crossings(path)
 
 
 def _count_unwound(branches, v):
-    """The chart route's count on s = V diag(-tan(branches / 2)) V^T, with
-    the angle the chart path unwinds from its eigenvalues and the
+    """The chart route's gates and count on s = V diag(-tan(branches / 2))
+    V^T, with the angle the chart path unwinds from its eigenvalues and the
     denominator sign of each step, -1 where the branches pass pi an odd
     number of times."""
     grid = np.linspace(0.0, 1.0, branches.shape[0])
@@ -183,8 +205,11 @@ def _count_unwound(branches, v):
     mu = np.linalg.eigvalsh(charts)
     up, down = branch_passages(branches)
     signs = np.where((up + down) % 2 == 1, -1.0, 1.0)
-    return crossings_from_chart(ChartPath(grid=grid, charts=charts, mu=mu,
-                                          theta=_unwound_theta(mu), den_signs=signs))
+    path = ChartPath(grid=grid, charts=charts, mu=mu,
+                     phases=_principal_phases(-2.0 * np.arctan(mu)),
+                     theta=_unwound_theta(mu), den_signs=signs)
+    _check_chart_steps(path.phases, path.theta, path.den_signs)
+    return detect_crossings(path)
 
 
 def _assert_counts_right(result, branches):
@@ -300,7 +325,7 @@ class TestRunTrace:
     def test_backend_both_counts_agree(self):
         field = get_model("poschl_teller:2")
         trace = run_trace(field, -2.0, _grid(2001), backend="both")
-        chart_count = crossings_from_chart(trace.chart_path).unsigned_count
+        chart_count = detect_crossings(trace.chart_path).unsigned_count
         assert trace.result.unsigned_count == chart_count == 1
 
     def test_identity_fallback_at_non_hyperbolic_lambda(self):
@@ -316,7 +341,7 @@ class TestRunTrace:
         grid = np.linspace(0.0, 1.0, 101)
         crossings = [CrossingRecord(x=0.995, multiplicity=1, direction=1)]
         u_end = np.eye(1, dtype=complex)
-        flag, _ = _end_of_interval_flag(crossings, grid, u_end, None, CHART_TOL)
+        flag, _ = _end_of_interval_flag(crossings, grid, np.zeros(1), u_end, None, CHART_TOL)
         assert flag
 
     def test_end_flag_fires_when_final_plane_hugs_train(self):
@@ -324,7 +349,8 @@ class TestRunTrace:
 
         grid = np.linspace(0.0, 1.0, 101)
         u_end = np.diag([np.exp(1j * (np.pi - 5e-4)), 1.0 + 0j])
-        flag, _ = _end_of_interval_flag([], grid, u_end, None, CHART_TOL)
+        flag, _ = _end_of_interval_flag([], grid, np.angle(np.diag(u_end)), u_end, None,
+                                        CHART_TOL)
         assert flag
 
     def test_end_flag_quiet_away_from_eigenvalues(self):
@@ -453,16 +479,39 @@ class TestRefine:
     def test_disagreeing_probe_raises(self, monkeypatch):
         import maslovflow.maslov as maslov_mod
 
-        real = maslov_mod.crossings_from_chart
+        real = maslov_mod.detect_crossings
 
         def one_more(path):
             # the chart route counts one crossing more than the unitary route
             result = real(path)
+            if not isinstance(path, ChartPath):
+                return result
             return dataclasses.replace(result, unsigned_count=result.unsigned_count + 1)
 
-        monkeypatch.setattr(maslov_mod, "crossings_from_chart", one_more)
+        monkeypatch.setattr(maslov_mod, "detect_crossings", one_more)
         with pytest.raises(BackendDisagreementError, match="lambda=-4.5: chart=1 unitary=0"):
             refine_eigenvalue("poschl_teller:2", -4.5, -3.5, _grid(1001), backend="both")
+
+    def test_bisection_stops_at_adjacent_floats(self, monkeypatch):
+        # a tol_lambda below the float spacing of the bracket: the midpoint
+        # of adjacent floats is one of them and the bracket stops shrinking
+        import maslovflow.maslov as maslov_mod
+
+        probes = []
+
+        def instant(field, lam, grid, backend, chart_tol):
+            probes.append(lam)
+            if len(probes) > 200:
+                raise RuntimeError("still bisecting after 200 probes")
+            return SweepRow(lam=lam, status="ok", reason="", theta_end=0.0,
+                            crossing_count=int(lam > -4.0), end_flag=False)
+
+        monkeypatch.setattr(maslov_mod, "_sweep_row", instant)
+        res = refine_eigenvalue("poschl_teller:2", -4.5, -3.5, _grid(101), tol_lambda=1e-20)
+        assert res.bracket_lo == -4.0 and res.bracket_hi == np.nextafter(-4.0, 0.0)
+        for tol in (0.0, -1e-3, float("nan")):
+            with pytest.raises(ConfigError, match="tol_lambda must be positive"):
+                refine_eigenvalue("poschl_teller:2", -4.5, -3.5, _grid(101), tol_lambda=tol)
 
 
 _PT2 = get_model("poschl_teller:2")

@@ -141,7 +141,7 @@ class TestFarfieldFrame:
         field = kdv7_field()
         a_inf = field.farfield_minus(0.15)
         frame = farfield_frame(a_inf, "unstable")
-        f = frame.stacked()
+        f = np.vstack([frame.q, frame.p])
         restriction = f.T @ a_inf.full() @ f  # F orthonormal
         residual = np.max(np.abs(a_inf.full() @ f - f @ restriction))
         assert residual < 1e-10
@@ -151,7 +151,8 @@ class TestFarfieldFrame:
         for lam in (-0.3, -0.1, 0.0, 0.1):
             for side in ("unstable", "stable"):
                 a_inf = field.farfield_plus(lam)
-                f = farfield_frame(a_inf, side).stacked()
+                frame = farfield_frame(a_inf, side)
+                f = np.vstack([frame.q, frame.p])
                 residual = np.max(np.abs(a_inf.full() @ f - f @ (f.T @ a_inf.full() @ f)))
                 assert residual < 1e-9
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maslovflow import (
     StructureError,
@@ -25,7 +27,7 @@ from maslovflow.errors import StepSizeError
 from maslovflow.matrixkit import symmetrize
 import maslovflow.riccati as riccati_mod
 import maslovflow.unitary as unitary_mod
-from maslovflow.riccati import BLOCK_STEPS, _check_theta_steps
+from maslovflow.riccati import BLOCK_STEPS, _check_theta_steps, _principal_phases
 from maslovflow.tolerances import CIRCLE_CONSISTENCY, REPROJECT_DEFECT
 from maslovflow.unitary import _polar_symmetric_project
 from conftest import constant_field, random_lagrangian_frame
@@ -267,10 +269,12 @@ class TestIntegrateUnitary:
         with pytest.raises(StepSizeError, match=message):
             integrate_unitary(field, 0.0, grid, UnitarySymmetric(np.eye(2, dtype=complex)))
         # the unwound chart angle moves by less than pi by construction, so
-        # show that the chart route hands its angle to the same gate
+        # show that the chart route hands its angle to the same gate; at ten
+        # steps the phase gate lets both routes through
         seen = []
         monkeypatch.setattr(riccati_mod, "_check_theta_steps", seen.append)
         monkeypatch.setattr(unitary_mod, "_check_theta_steps", seen.append)
+        grid = np.linspace(0.0, 1.0, 11)
         cpath = integrate_chart(field, 0.0, grid, SymmetricChart(np.zeros((2, 2))))
         upath = integrate_unitary(field, 0.0, grid, UnitarySymmetric(np.eye(2, dtype=complex)))
         assert len(seen) == 2 and seen[0] is cpath.theta and seen[1] is upath.theta
@@ -313,6 +317,30 @@ class TestBlockedUnitary:
         assert np.array_equal(path.us, us)
         assert np.array_equal(path.sigmas, sigmas)
         assert np.array_equal(path.theta, theta)
+
+
+def _wrapped(angle):
+    return np.abs(np.angle(np.exp(1j * angle)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_paths_carry_eigenphases_and_angle_of_u(n, seed):
+    # a random constant sp(R^2n) field from a random start plane: on either
+    # route the phases are the sorted eigenphases of u, and theta is their
+    # sum mod 2 pi
+    rng = np.random.default_rng(seed)
+    field = constant_field(_random_coeffs(rng, n))
+    grid = np.linspace(0.0, 1.0, 81)
+    s0 = SymmetricChart(symmetrize(rng.standard_normal((n, n))))
+    cpath = integrate_chart(field, 0.0, grid, s0)
+    upath = integrate_unitary(field, 0.0, grid, cayley(s0))
+    chart_us = np.array([cayley(cpath.chart(m)).mat for m in range(grid.size)])
+    for path, us in ((cpath, chart_us), (upath, upath.us)):
+        assert path.phases.shape == (grid.size, n)
+        expected = _principal_phases(np.angle(np.linalg.eigvals(us)))
+        assert np.max(_wrapped(path.phases - expected)) < 1e-9
+        assert np.max(_wrapped(path.theta - path.phases.sum(axis=1))) < 1e-8
 
 
 class TestChartAngle:
