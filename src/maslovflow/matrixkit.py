@@ -7,6 +7,8 @@ arrays; validated wrapper types live with the modules that own them.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import StructureError
@@ -88,12 +90,19 @@ _THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
           13: 5.371920351148152e0}
 _DEGREES = (3, 5, 7, 9, 13)
 _THETA_BOUNDS = np.array([_THETA[d] for d in _DEGREES[:-1]])
+_DIRECT_DTYPES = (np.dtype(float), np.dtype(complex))
+
+
+@lru_cache(maxsize=None)
+def _eye(n: int, dtype: np.dtype) -> np.ndarray:
+    eye = np.eye(n, dtype=dtype)
+    eye.flags.writeable = False
+    return eye
 
 
 def _pade_factors(a: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
     b = _PADE_B[degree]
-    n = a.shape[-1]
-    eye = np.eye(n, dtype=a.dtype)
+    eye = _eye(a.shape[-1], a.dtype)
     a2 = a @ a
     if degree == 3:
         u = a @ (b[3] * a2 + b[1] * eye)
@@ -129,9 +138,20 @@ def mat_exp(m: np.ndarray) -> np.ndarray:
     Each matrix gets its own Pade degree from its 1-norm against the
     standard backward-error bound table (degrees 3/5/7/9/13); larger norms
     are scaled by 2^-s with s from ``||m||_1 / theta_13`` and squared back.
-    Every matrix of a stack comes out bit for bit as it would alone.
+    Every matrix of a stack comes out bit for bit as it would alone.  One
+    2-D float64 or complex128 matrix below degree 13 takes a direct path
+    (norm as a Python float, one Pade solve) with the same arithmetic and
+    the same bits as a stack of one.
     """
     m = np.asarray(m)
+    if m.ndim == 2 and m.dtype in _DIRECT_DTYPES and m.shape[0] == m.shape[1] > 0:
+        # a NaN or inf entry makes the norm fail every comparison and falls
+        # through to the general path, which refuses it
+        norm = float(np.abs(m).sum(0).max())
+        for degree in _DEGREES[:-1]:
+            if norm <= _THETA[degree]:
+                u, v = _pade_factors(m, degree)
+                return np.linalg.solve(v - u, v + u)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise StructureError(f"expected square matrices, got shape {m.shape}")
     if not np.isfinite(m).all():

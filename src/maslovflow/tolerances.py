@@ -40,6 +40,8 @@ HYPERBOLICITY = 1e-8
 FARFIELD_DEFAULT = 1e-8
 # unitarity defect above which integrate_unitary re-projects
 REPROJECT_DEFECT = 1e-12
+# largest change of any entry of u between consecutive unitary samples
+U_JUMP_REJECT = 0.5
 # bound on |exp(i theta) - det u| along unitary paths
 CIRCLE_CONSISTENCY = 1e-8
 # largest per-step motion of one eigenphase of u accepted when the sorted

@@ -26,7 +26,7 @@ from .riccati import (
     _principal_phases,
 )
 from .system import CoefficientField, LagrangianFrame, SymplecticCoefficients
-from .tolerances import CIRCLE_CONSISTENCY, REPROJECT_DEFECT, UNITARY_TYPE
+from .tolerances import CIRCLE_CONSISTENCY, REPROJECT_DEFECT, U_JUMP_REJECT, UNITARY_TYPE
 
 __all__ = [
     "UnitarySymmetric",
@@ -137,14 +137,17 @@ def integrate_unitary(
     u (D* + C* u) on unitary symmetric u, and then u -> exp(sigma) u
     exp(sigma)^T.  C and D, which do not depend on u, are computed
     ``BLOCK_STEPS`` steps at a time.  The unitarity and symmetry defects of
-    every raw product are measured: above ``UNITARY_TYPE`` they raise
-    ``StructureError``; above ``REPROJECT_DEFECT`` the sample is re-projected
-    (polar factor, then symmetric averaging).  The grid is checked by
-    :meth:`CoefficientField.check_grid`.  Theta starts at the principal
-    value of -i log det u0; the sampled path satisfies exp(i theta_m) =
-    det u_m up to roundoff, and the worst circle defect is recorded and
-    gated.  Every step then passes, in order, ``_check_theta_steps``, a
-    bound of 0.5 on the change of any entry of u, and
+    every raw product are measured, as stacks once the block's products are
+    made: the first step above ``UNITARY_TYPE`` (or with a NaN defect)
+    raises ``StructureError``; the first above ``REPROJECT_DEFECT`` is
+    re-projected (polar factor, then symmetric averaging) and stepping
+    resumes after it, so the path is the one measured step by step; the
+    recorded maxima cover the raw products of the returned path's steps.
+    The grid is checked by :meth:`CoefficientField.check_grid`.  Theta
+    starts at the principal value of -i log det u0; the sampled path
+    satisfies exp(i theta_m) = det u_m up to roundoff, and the worst circle
+    defect is recorded and gated.  Every step then passes, in order, ``_check_theta_steps``, the
+    bound ``U_JUMP_REJECT`` on the change of any entry of u, and
     ``_check_phase_steps``.
     """
     grid = field.check_grid(grid)
@@ -167,24 +170,49 @@ def integrate_unitary(
         full = field.full_stack(grid[lo:hi], lam)
         c_rots, d_rots = rotated_coefficients(SymplecticCoefficients(
             n=n, a=full[:, :n, :n], b=full[:, :n, n:], c=full[:, n:, :n], d=full[:, n:, n:]))
-        for m, c_rot, c_conj, d_rot in zip(range(lo, hi), c_rots, np.conj(c_rots), d_rots):
-            xi = d_rot - 0.5 * (u @ c_conj - c_rot @ u.conj().T)
-            sigma = steps[m] * (0.5 * (xi - xi.conj().T))
-            e = mat_exp(sigma)
-            u_next = e @ u @ e.T
-            u_defect = float(np.abs(u_next @ u_next.conj().T - eye).max())
-            s_defect = float(np.abs(u_next - u_next.T).max())
-            if u_defect > UNITARY_TYPE or s_defect > UNITARY_TYPE:
+        c_conjs = np.conj(c_rots)
+        # Step a run of raw products into us, then measure their defects at
+        # once.  Steps after the first one over a bound are dropped and made
+        # again from its re-projected product.  A run after a re-projection
+        # starts at one step and doubles, so frequent re-projection replays
+        # few steps.
+        start, span = lo, BLOCK_STEPS
+        while start < hi:
+            stop, failure = min(hi, start + span), None
+            try:
+                for m, c_rot, c_conj, d_rot in zip(range(start, stop), c_rots[start - lo:],
+                                                   c_conjs[start - lo:], d_rots[start - lo:]):
+                    xi = d_rot - 0.5 * (u @ c_conj - c_rot @ u.conj().T)
+                    sigma = steps[m] * (0.5 * (xi - xi.conj().T))
+                    e = mat_exp(sigma)
+                    u = e @ u @ e.T
+                    sigmas[m + 1] = sigma
+                    us[m + 1] = u
+            except StructureError as exc:
+                # a non-finite product fails the next step's mat_exp: the
+                # products made before it are measured first
+                stop, failure = m, exc
+            raw = us[start + 1:stop + 1]
+            u_defects = np.abs(raw @ raw.conj().swapaxes(1, 2) - eye).max(axis=(1, 2))
+            s_defects = np.abs(raw - raw.swapaxes(1, 2)).max(axis=(1, 2))
+            over = np.flatnonzero(~(np.maximum(u_defects, s_defects)
+                                    <= min(UNITARY_TYPE, REPROJECT_DEFECT)))
+            kept = int(over[0]) + 1 if over.size else stop - start
+            max_u_defect = float(np.max(u_defects[:kept], initial=max_u_defect))
+            max_s_defect = float(np.max(s_defects[:kept], initial=max_s_defect))
+            if not over.size:
+                if failure is not None:
+                    raise failure
+                start, span = stop, 2 * span
+                continue
+            m = start + kept - 1
+            u_defect, s_defect = float(u_defects[kept - 1]), float(s_defects[kept - 1])
+            if not (u_defect <= UNITARY_TYPE and s_defect <= UNITARY_TYPE):
                 raise StructureError(f"step {m} left the unitary symmetric matrices: "
                                      f"unitarity {u_defect:.3e}, symmetry {s_defect:.3e}")
-            max_u_defect = max(max_u_defect, u_defect)
-            max_s_defect = max(max_s_defect, s_defect)
-            if max(u_defect, s_defect) > REPROJECT_DEFECT:
-                u_next = _polar_symmetric_project(u_next)
-                reprojected += 1
-            sigmas[m + 1] = sigma
-            us[m + 1] = u_next
-            u = u_next
+            u = us[m + 1] = _polar_symmetric_project(us[m + 1])
+            reprojected += 1
+            start, span = m + 1, 1
 
     # theta_{m+1} = theta_m - 2i tr(sigma_{m+1}), summed in step order
     increments = 2.0 * np.trace(sigmas[1:], axis1=1, axis2=2).imag
@@ -195,8 +223,9 @@ def integrate_unitary(
             f"theta/determinant circle consistency broken: defect {circle:.3e}")
     _check_theta_steps(theta)
     jump = float(np.max(np.abs(np.diff(us, axis=0))))
-    if jump >= 0.5:
-        raise StepSizeError(f"consecutive u samples differ by {jump:.3f} >= 0.5; refine the grid")
+    if jump >= U_JUMP_REJECT:
+        raise StepSizeError(
+            f"consecutive u samples differ by {jump:.3f} >= {U_JUMP_REJECT}; refine the grid")
     phases = _principal_phases(np.angle(np.linalg.eigvals(us)))
     _check_phase_steps(phases, theta)
     return UnitaryPath(grid=grid, us=us, sigmas=sigmas, phases=phases, theta=theta,

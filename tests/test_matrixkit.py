@@ -129,6 +129,32 @@ class TestMatExpStack:
             with pytest.raises(StructureError, match="non-finite"):
                 mat_exp(broken)
 
+    def test_non_finite_single_matrix_raises(self, rng):
+        for k in (1, 3):
+            for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan)):
+                m = 0.1 * rng.standard_normal((k, k)).astype(type(bad))
+                m[k - 1, 0] = bad
+                with pytest.raises(StructureError, match="non-finite"):
+                    mat_exp(m)
+
+    def test_single_matrix_same_bits_as_stack_of_one(self, rng):
+        # one 2-D float64 or complex128 matrix takes the direct path below
+        # degree 13; other dtypes and layouts must give the same bits
+        for norm in self.NORMS:
+            for k in (1, 3, 6):
+                for complex_entries in (False, True):
+                    m = self._with_norm(rng, k, norm, complex_entries)
+                    inputs = [m, m.T, m[::-1, ::-1], np.asfortranarray(m),
+                              m.astype(np.complex64 if complex_entries else np.float32)]
+                    if not complex_entries:
+                        inputs.append(np.rint(4.0 * m / norm).astype(int))
+                    for x in inputs:
+                        kept = x.copy()
+                        got = mat_exp(x)
+                        assert got.dtype == (complex if complex_entries else float)
+                        assert np.array_equal(got, mat_exp(x[None])[0]), (norm, k, x.dtype)
+                        assert np.array_equal(x, kept)
+
     def test_non_square_rejected(self):
         with pytest.raises(StructureError):
             mat_exp(np.zeros((4, 2, 3)))

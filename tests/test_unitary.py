@@ -282,9 +282,13 @@ class TestIntegrateUnitary:
 
 def _unitary_per_step(field, lam, grid, u0):
     """Reference unitary path one step at a time: the scalar field
-    evaluation, rotated coefficients and the Euler step of every sample."""
+    evaluation, rotated coefficients, the Euler step and the defect gate of
+    every sample, reading the gate's bounds from ``unitary_mod`` as
+    ``integrate_unitary`` does.  Returns the path arrays, the re-projected
+    steps and the largest unitarity and symmetry defects."""
     u, us, sigmas = u0.mat, [u0.mat], [np.zeros_like(u0.mat)]
     theta = [det_phase(u0.mat)]
+    reprojected, max_u, max_s = [], 0.0, 0.0
     for m in range(grid.size - 1):
         h = grid[m + 1] - grid[m]
         c_rot, d_rot = rotated_coefficients(field.evaluate(grid[m], lam))
@@ -292,31 +296,101 @@ def _unitary_per_step(field, lam, grid, u0):
         sigma = h * (0.5 * (xi - xi.conj().T))
         e = mat_exp(sigma)
         u = e @ u @ e.T
-        defect = max(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))),
-                     np.max(np.abs(u - u.T)))
-        if defect > REPROJECT_DEFECT:
+        u_defect = float(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))))
+        s_defect = float(np.max(np.abs(u - u.T)))
+        if not (u_defect <= unitary_mod.UNITARY_TYPE and s_defect <= unitary_mod.UNITARY_TYPE):
+            raise StructureError(f"step {m} left the unitary symmetric matrices: "
+                                 f"unitarity {u_defect:.3e}, symmetry {s_defect:.3e}")
+        max_u, max_s = max(max_u, u_defect), max(max_s, s_defect)
+        if max(u_defect, s_defect) > unitary_mod.REPROJECT_DEFECT:
             u = _polar_symmetric_project(u)
+            reprojected.append(m)
         theta.append(theta[-1] + 2.0 * float(np.imag(np.trace(sigma))))
         us.append(u)
         sigmas.append(sigma)
-    return np.array(us), np.array(sigmas), np.array(theta)
+    return np.array(us), np.array(sigmas), np.array(theta), reprojected, max_u, max_s
+
+
+def _start(field, lam):
+    return unitary_from_frame(farfield_frame(field.farfield_minus(lam), "unstable"))
 
 
 class TestBlockedUnitary:
-    """integrate_unitary computes C and D for blocks of steps; the path must
-    be the one stepped one at a time."""
+    """integrate_unitary computes C and D for blocks of steps and measures
+    the defects of a block's products at once; the path must be the one
+    stepped and gated one step at a time."""
+
+    @staticmethod
+    def _assert_same(path, reference):
+        us, sigmas, theta, reprojected, max_u, max_s = reference
+        assert np.array_equal(path.us, us)
+        assert np.array_equal(path.sigmas, sigmas)
+        assert np.array_equal(path.theta, theta)
+        assert path.reprojected_steps == len(reprojected)
+        assert path.max_unitarity_defect == max_u
+        assert path.max_symmetry_defect == max_s
 
     @pytest.mark.parametrize("npoints", [2, BLOCK_STEPS + 1, BLOCK_STEPS + 2, 2 * BLOCK_STEPS + 89])
     @pytest.mark.parametrize("name, lam", [("kdv7", 0.1), ("poschl_teller:2", -0.5)])
     def test_grid_lengths_across_blocks(self, name, lam, npoints):
         field = get_model(name)
         grid = -3.0 + 0.01 * np.arange(npoints)
-        u0 = unitary_from_frame(farfield_frame(field.farfield_minus(lam), "unstable"))
-        path = integrate_unitary(field, lam, grid, u0)
-        us, sigmas, theta = _unitary_per_step(field, lam, grid, u0)
-        assert np.array_equal(path.us, us)
-        assert np.array_equal(path.sigmas, sigmas)
-        assert np.array_equal(path.theta, theta)
+        u0 = _start(field, lam)
+        self._assert_same(integrate_unitary(field, lam, grid, u0),
+                          _unitary_per_step(field, lam, grid, u0))
+
+    @pytest.mark.parametrize("name, lam, bound, block_ends", [
+        ("kdv7", 0.1, 5e-16, True), ("kdv7", 0.1, 2e-15, False),
+        ("poschl_teller:2", -0.5, 1e-15, False), ("poschl_teller:2", -0.5, 0.0, True)])
+    def test_reprojected_steps_replayed(self, monkeypatch, name, lam, bound, block_ends):
+        # a re-projected step changes every later product of its block; the
+        # steps after it are made again from the re-projected sample
+        field = get_model(name)
+        grid = -3.0 + 0.01 * np.arange(2 * BLOCK_STEPS + 89)
+        u0 = _start(field, lam)
+        monkeypatch.setattr(unitary_mod, "REPROJECT_DEFECT", bound)
+        reference = _unitary_per_step(field, lam, grid, u0)
+        self._assert_same(integrate_unitary(field, lam, grid, u0), reference)
+        reprojected = set(reference[3])
+        assert 0 < len(reprojected) < grid.size - 1
+        if block_ends:
+            assert reprojected >= {0, BLOCK_STEPS - 1, BLOCK_STEPS}
+
+    @pytest.mark.parametrize("bound", [1.2e-15, 2e-15, 3e-15])
+    @pytest.mark.parametrize("name, lam", [("kdv7", 0.1), ("poschl_teller:2", -0.5)])
+    def test_refusal_names_the_first_step_over(self, monkeypatch, name, lam, bound):
+        # UNITARY_TYPE below REPROJECT_DEFECT: the first step over it is
+        # refused, as when each step is measured alone
+        field = get_model(name)
+        grid = -3.0 + 0.01 * np.arange(2 * BLOCK_STEPS + 89)
+        u0 = _start(field, lam)
+        monkeypatch.setattr(unitary_mod, "UNITARY_TYPE", bound)
+        with pytest.raises(StructureError, match="left the unitary symmetric") as expected:
+            _unitary_per_step(field, lam, grid, u0)
+        step = int(str(expected.value).split()[1])
+        assert 0 < step % BLOCK_STEPS < BLOCK_STEPS - 1
+        with pytest.raises(StructureError) as got:
+            integrate_unitary(field, lam, grid, u0)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("bad", [0, 100, BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 40])
+    def test_non_finite_product_refused_where_made(self, monkeypatch, bad):
+        # a NaN product used to pass the gate and fail the next step's
+        # mat_exp as "matrix has non-finite entries"
+        field = kdv7_field()
+        grid = np.linspace(-20, 20, 1001)
+        u0 = _start(field, 0.1)
+        calls = []
+
+        def nan_at_bad_step(sigma):
+            calls.append(None)
+            e = mat_exp(sigma)
+            return np.full_like(e, np.nan) if len(calls) == bad + 1 else e
+
+        monkeypatch.setattr(unitary_mod, "mat_exp", nan_at_bad_step)
+        message = f"step {bad} left the unitary symmetric matrices: unitarity nan, symmetry nan"
+        with pytest.raises(StructureError, match=message):
+            integrate_unitary(field, 0.1, grid, u0)
 
 
 def _wrapped(angle):
