@@ -50,6 +50,10 @@ _CONFIG_KEYS = {
 }
 
 
+# rows of the trace table formatted and written together
+_TRACE_BLOCK_ROWS = 256
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -217,6 +221,14 @@ def _open_out(path: str):
 
 
 def cmd_trace(cfg: RunConfig) -> int:
+    """Trace one lambda and write the per-sample CSV: x, theta, det phase,
+    u eigenphases, clipped chart eigenvalues (chart route) and the upper
+    triangle of sigma (unitary route), then a footer with the counts.
+
+    The columns are built once as arrays; rows are formatted with one
+    ``%.17g`` pattern and written ``_TRACE_BLOCK_ROWS`` at a time, the same
+    bytes as ``_fmt`` per value.
+    """
     spec = cfg.require_model()
     if cfg.lam is None:
         raise ConfigError("trace needs a single --lambda value")
@@ -239,16 +251,19 @@ def cmd_trace(cfg: RunConfig) -> int:
                 columns += [f"sigma_re_{i + 1}{j + 1}", f"sigma_im_{i + 1}{j + 1}"]
 
     if have_unitary:
-        sig = trace.unitary_path.sigmas
         phase_cols = trace.unitary_path.phases
         det_col = np.angle(np.linalg.det(trace.unitary_path.us))
     else:
         # the phase of det Cay(s) is the sum of its eigenphases
         phase_cols = trace.chart_path.phases
         det_col = np.angle(np.exp(1j * phase_cols.sum(axis=1)))
+    # the table's columns but sigma's, as (rows, k) float arrays
+    parts = [grid[:, None], trace.theta[:, None], det_col[:, None], phase_cols]
     if have_chart:
         clip = 1.0 / cfg.chart_tol
-        mu_cols = np.clip(trace.chart_path.mu, -clip, clip)
+        parts.append(np.clip(trace.chart_path.mu, -clip, clip))
+    upper = np.triu_indices(n)
+    row_fmt = ",".join(["%.17g"] * len(columns)) + "\n"
 
     out_path = cfg.out or f"trace_{spec.name.replace(':', '_')}_{_fmt(lam)}.csv"
     with _open_out(out_path) as fh:
@@ -257,16 +272,17 @@ def cmd_trace(cfg: RunConfig) -> int:
         fh.write(f"# model={cfg.model} lambda={_fmt(lam)} backend={cfg.backend} "
                  f"init={trace.init_mode} chart_tol={_fmt(cfg.chart_tol)}\n")
         fh.write(",".join(columns) + "\n")
-        for m in range(grid.size):
-            row = [_fmt(grid[m]), _fmt(trace.theta[m]), _fmt(det_col[m])]
-            row += [_fmt(v) for v in phase_cols[m]]
-            if have_chart:
-                row += [_fmt(v) for v in mu_cols[m]]
+        # a block at a time: the Python floats of the whole table would
+        # raise peak memory by several MB on a long trace
+        for lo in range(0, grid.size, _TRACE_BLOCK_ROWS):
+            hi = lo + _TRACE_BLOCK_ROWS
+            block = [p[lo:hi] for p in parts]
             if have_unitary:
-                for i in range(n):
-                    for j in range(i, n):
-                        row += [_fmt(sig[m, i, j].real), _fmt(sig[m, i, j].imag)]
-            fh.write(",".join(row) + "\n")
+                # sigma_ij for i <= j as (real, imag) pairs, taken per block
+                # so no table-sized copy of sigma is made
+                sig = trace.unitary_path.sigmas[lo:hi, upper[0], upper[1]]
+                block.append(np.stack([sig.real, sig.imag], axis=-1).reshape(len(sig), -1))
+            fh.writelines([row_fmt % tuple(row) for row in np.hstack(block).tolist()])
         res = trace.result
         fh.write(f"# crossings: {res.unsigned_count}\n")
         fh.write(f"# signed_index: {res.signed_index}\n")

@@ -10,6 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import StructureError
 from .tolerances import CHART_SYMMETRY, EIG_ORTHONORMALITY, EIG_RECONSTRUCTION, UNITARY_CHECK
@@ -93,41 +94,64 @@ _THETA_BOUNDS = np.array([_THETA[d] for d in _DEGREES[:-1]])
 _DIRECT_DTYPES = (np.dtype(float), np.dtype(complex))
 
 
+def _raise_singular(err: str, flag: int) -> None:
+    raise LinAlgError("Singular matrix")
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve(a, b)`` for float64 or complex128 matrices (or
+    stacks of them) without its Python wrapper: the same LAPACK gufunc,
+    signature and error state, so the same bits, and an exactly singular
+    ``a`` raises the same ``LinAlgError("Singular matrix")``."""
+    signature = "DD->D" if a.dtype.kind == "c" or b.dtype.kind == "c" else "dd->d"
+    with np.errstate(call=_raise_singular, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        return _umath_linalg.solve(a, b, signature=signature)
+
+
 @lru_cache(maxsize=None)
-def _eye(n: int, dtype: np.dtype) -> np.ndarray:
+def _pade_identities(n: int, dtype: np.dtype, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only pair (b_0 I, b_1 I) of the degree's Pade coefficients."""
+    b = _PADE_B[degree]
     eye = np.eye(n, dtype=dtype)
-    eye.flags.writeable = False
-    return eye
+    pair = (b[0] * eye, b[1] * eye)
+    for m in pair:
+        m.flags.writeable = False
+    return pair
 
 
 def _pade_factors(a: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Odd and even parts (u, v) of the diagonal Pade approximant of the
+    given degree, exp(a) ~ (v - u)^{-1} (v + u).  The identity terms
+    b_0 I and b_1 I come from ``_pade_identities``; multiplying by the
+    identity is exact, so they are the products formed in place."""
     b = _PADE_B[degree]
-    eye = _eye(a.shape[-1], a.dtype)
+    b0_eye, b1_eye = _pade_identities(a.shape[-1], a.dtype, degree)
     a2 = a @ a
     if degree == 3:
-        u = a @ (b[3] * a2 + b[1] * eye)
-        v = b[2] * a2 + b[0] * eye
+        u = a @ (b[3] * a2 + b1_eye)
+        v = b[2] * a2 + b0_eye
         return u, v
     a4 = a2 @ a2
     if degree == 5:
-        u = a @ (b[5] * a4 + b[3] * a2 + b[1] * eye)
-        v = b[4] * a4 + b[2] * a2 + b[0] * eye
+        u = a @ (b[5] * a4 + b[3] * a2 + b1_eye)
+        v = b[4] * a4 + b[2] * a2 + b0_eye
         return u, v
     a6 = a4 @ a2
     if degree == 7:
-        u = a @ (b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-        v = b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+        u = a @ (b[7] * a6 + b[5] * a4 + b[3] * a2 + b1_eye)
+        v = b[6] * a6 + b[4] * a4 + b[2] * a2 + b0_eye
         return u, v
     if degree == 9:
         a8 = a6 @ a2
-        u = a @ (b[9] * a8 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-        v = b[8] * a8 + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+        u = a @ (b[9] * a8 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b1_eye)
+        v = b[8] * a8 + b[6] * a6 + b[4] * a4 + b[2] * a2 + b0_eye
         return u, v
     # degree 13
     u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b1_eye)
     v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b0_eye)
     return u, v
 
 
@@ -141,7 +165,8 @@ def mat_exp(m: np.ndarray) -> np.ndarray:
     Every matrix of a stack comes out bit for bit as it would alone.  One
     2-D float64 or complex128 matrix below degree 13 takes a direct path
     (norm as a Python float, one Pade solve) with the same arithmetic and
-    the same bits as a stack of one.
+    the same bits as a stack of one.  Every Pade solve goes to LAPACK
+    through ``_solve``, as ``np.linalg.solve`` would, without its wrapper.
     """
     m = np.asarray(m)
     if m.ndim == 2 and m.dtype in _DIRECT_DTYPES and m.shape[0] == m.shape[1] > 0:
@@ -151,7 +176,7 @@ def mat_exp(m: np.ndarray) -> np.ndarray:
         for degree in _DEGREES[:-1]:
             if norm <= _THETA[degree]:
                 u, v = _pade_factors(m, degree)
-                return np.linalg.solve(v - u, v + u)
+                return _solve(v - u, v + u)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise StructureError(f"expected square matrices, got shape {m.shape}")
     if not np.isfinite(m).all():
@@ -172,11 +197,11 @@ def mat_exp(m: np.ndarray) -> np.ndarray:
         degree = _DEGREES[index]
         if degree < 13:
             u, v = _pade_factors(a[sel], degree)
-            r[sel] = np.linalg.solve(v - u, v + u)
+            r[sel] = _solve(v - u, v + u)
             continue
         squarings = np.maximum(0, np.ceil(np.log2(norms[sel] / _THETA[13]))).astype(int)
         u, v = _pade_factors(a[sel] / (2.0 ** squarings)[:, None, None], 13)
-        r13 = np.linalg.solve(v - u, v + u)
+        r13 = _solve(v - u, v + u)
         for level in range(1, int(squarings.max()) + 1):
             more = squarings >= level
             r13[more] = r13[more] @ r13[more]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StepSizeError, StructureError
-from .matrixkit import mat_exp, symmetrize
+from .matrixkit import _solve, mat_exp, symmetrize
 from .system import CoefficientField
 from .tolerances import CHART_TOL, PHASE_MATCH_REJECT, check_chart_tol
 
@@ -162,24 +162,36 @@ def _unwound_theta(mu: np.ndarray) -> np.ndarray:
     return base[0] + np.concatenate([[0.0], np.cumsum(delta)])
 
 
+def _mobius_scale(tops: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Scale of the Moebius inputs, ||[phi_11 phi_12]||_2 max(1, ||s||_2),
+    from the propagators' top block rows ``tops`` (..., n, 2n) and the
+    eigenvalues ``mu`` (..., n) of the symmetric charts s.
+
+    ||s||_2 is max |mu|; ||T||_2 is the square root of the largest
+    eigenvalue of T T^T.  One step and a stack of steps share this formula.
+    """
+    top_norms = np.sqrt(np.linalg.eigvalsh(tops @ tops.swapaxes(-1, -2))[..., -1])
+    return top_norms * np.maximum(1.0, np.abs(mu).max(-1))
+
+
 def _mobius_apply(s: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, float, float, float]:
     """Apply the Moebius action; returns (new s, effective denominator
     condition, pre-symmetrization defect, sign of det of the denominator).
 
     The effective condition compares the smallest singular value of the
-    denominator against the scale of its inputs; the plain condition number
-    is blind to a uniformly tiny denominator (always 1 for n = 1).
+    denominator against the scale of its inputs (``_mobius_scale``); the
+    plain condition number is blind to a uniformly tiny denominator (always
+    1 for n = 1).
     """
     n = s.shape[0]
     num = phi[n:, :n] + phi[n:, n:] @ s
     den = phi[:n, :n] + phi[:n, n:] @ s
     sv_min = float(np.linalg.svd(den, compute_uv=False)[-1])
-    scale = (float(np.linalg.norm(phi[:n, :], 2))
-             * max(1.0, float(np.linalg.norm(s, 2))))
+    scale = float(_mobius_scale(phi[:n, :], np.linalg.eigvalsh(s)))
     cond = np.inf if sv_min == 0.0 else scale / sv_min
     if not np.isfinite(cond):
         raise np.linalg.LinAlgError("Moebius denominator exactly singular")
-    s_new = np.linalg.solve(den.T, num.T).T
+    s_new = _solve(den.T, num.T).T
     defect = float(np.max(np.abs(s_new - s_new.T)))
     return symmetrize(s_new), cond, defect, float(np.linalg.slogdet(den)[0])
 
@@ -223,9 +235,12 @@ def integrate_chart(
 
     The propagators, which do not depend on the chart, are built
     ``BLOCK_STEPS`` steps at a time; the step loop only solves for the next
-    chart.  The integration proceeds through chart singularities; samples
-    where the Moebius denominator condition exceeds ``1 / chart_tol`` are
-    flagged.  If a denominator is exactly singular (the solve fails) the
+    chart.  Each block's new charts then get their eigenvalues ``mu`` at
+    once, and the denominator condition takes its scale from them and the
+    propagators' top rows (``_mobius_scale``); the smallest singular values
+    of all denominators follow the loop as one stack.  The integration
+    proceeds through chart singularities; samples where the Moebius
+    denominator condition exceeds ``1 / chart_tol`` are flagged.  If a denominator is exactly singular (the solve fails) the
     step is retried as two half steps (the singular set is isolated), the
     sample flagged and the product of the two denominator signs recorded.
     The angle is unwound from the chart eigenvalues, and every step passes
@@ -240,20 +255,21 @@ def integrate_chart(
     nsteps = grid.size - 1
     charts = np.empty((nsteps + 1, n, n))
     charts[0] = s0.mat
+    mu = np.empty((nsteps + 1, n))
+    mu[0] = np.linalg.eigvalsh(s0.mat)
     dens = np.empty((nsteps, n, n))
     unsymmetrized = np.empty((nsteps, n, n))
-    top_norms = np.empty(nsteps)
+    scale = np.empty(nsteps)
     halved: dict[int, tuple[float, float, float]] = {}  # step -> (condition, defect, sign)
     s = s0.mat
     for lo in range(0, nsteps, BLOCK_STEPS):
         hi = min(lo + BLOCK_STEPS, nsteps)
         phis = _propagators(field, grid[lo:hi], grid[lo + 1:hi + 1], lam)
-        top_norms[lo:hi] = np.linalg.svd(phis[:, :n, :], compute_uv=False).max(-1)
         for m, phi in enumerate(phis, start=lo):
             num = phi[n:, :n] + phi[n:, n:] @ s
             den = phi[:n, :n] + phi[:n, n:] @ s
             try:
-                s_new = np.linalg.solve(den.T, num.T).T
+                s_new = _solve(den.T, num.T).T
             except np.linalg.LinAlgError:
                 # exactly singular sample: take one-sided substeps around it
                 x_mid = 0.5 * (grid[m] + grid[m + 1])
@@ -266,10 +282,11 @@ def integrate_chart(
             unsymmetrized[m] = s_new
             s = symmetrize(s_new)
             charts[m + 1] = s
+        mu[lo + 1:hi + 1] = np.linalg.eigvalsh(charts[lo + 1:hi + 1])
+        scale[lo:hi] = _mobius_scale(phis[:, :n, :], mu[lo:hi])
 
     # the conditioning _mobius_apply measures, for all steps at once
     sv_min = np.linalg.svd(dens, compute_uv=False)[:, -1]
-    scale = top_norms * np.maximum(1.0, np.linalg.svd(charts[:-1], compute_uv=False).max(-1))
     with np.errstate(divide="ignore"):
         cond = np.where(sv_min == 0.0, np.inf, scale / sv_min)
     defects = np.abs(unsymmetrized - unsymmetrized.transpose(0, 2, 1)).max(axis=(1, 2))
@@ -280,7 +297,6 @@ def integrate_chart(
     flag[list(halved)] = True
     flagged = tuple(int(m) + 1 for m in np.flatnonzero(flag))
 
-    mu = np.linalg.eigvalsh(charts)
     phases = _principal_phases(-2.0 * np.arctan(mu))
     theta = _unwound_theta(mu)
     _check_chart_steps(phases, theta, den_signs)

@@ -164,7 +164,8 @@ def integrate_unitary(
     max_s_defect = 0.0
     reprojected = 0
     u = u0.mat
-    steps = np.diff(grid)
+    # h (X / 2) and (h / 2) X round alike: halving is exact short of subnormals
+    half_steps = 0.5 * np.diff(grid)
     for lo in range(0, nsteps, BLOCK_STEPS):
         hi = min(lo + BLOCK_STEPS, nsteps)
         full = field.full_stack(grid[lo:hi], lam)
@@ -183,7 +184,7 @@ def integrate_unitary(
                 for m, c_rot, c_conj, d_rot in zip(range(start, stop), c_rots[start - lo:],
                                                    c_conjs[start - lo:], d_rots[start - lo:]):
                     xi = d_rot - 0.5 * (u @ c_conj - c_rot @ u.conj().T)
-                    sigma = steps[m] * (0.5 * (xi - xi.conj().T))
+                    sigma = half_steps[m] * (xi - xi.conj().T)
                     e = mat_exp(sigma)
                     u = e @ u @ e.T
                     sigmas[m + 1] = sigma

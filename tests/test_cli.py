@@ -3,9 +3,22 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from maslovflow.cli import EXIT_CONFIG, EXIT_DISAGREE, EXIT_MODEL, EXIT_NUMERICAL, EXIT_OK, main
+from maslovflow import get_model, run_trace
+from maslovflow.cli import (
+    _TRACE_BLOCK_ROWS,
+    EXIT_CONFIG,
+    EXIT_DISAGREE,
+    EXIT_MODEL,
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    _fmt,
+    main,
+)
 import maslovflow.selftest as selftest
+from maslovflow.tolerances import CHART_TOL
 
 
 def _read(path):
@@ -122,6 +135,38 @@ class TestTrace:
         assert main(args + ["--out", str(b)]) == EXIT_OK
         assert _read(a) == _read(b)
 
+    @pytest.mark.parametrize("backend", ["chart", "unitary", "both"])
+    def test_rows_match_per_value_reference(self, tmp_path, backend):
+        # 601 rows: two full row blocks and a partial one
+        out = tmp_path / "t.csv"
+        rc = main(["trace", "--model", "kdv7", "--lambda", "-0.05", "--backend", backend,
+                   "--step", str(40 / 600), "--out", str(out)])
+        assert rc == EXIT_OK
+        grid = np.linspace(-20.0, 20.0, 601)
+        assert grid.size > 2 * _TRACE_BLOCK_ROWS
+        trace = run_trace(get_model("kdv7"), -0.05, grid, backend=backend)
+        upath, cpath = trace.unitary_path, trace.chart_path
+        if upath is not None:
+            phases, det = upath.phases, np.angle(np.linalg.det(upath.us))
+        else:
+            phases = cpath.phases
+            det = np.angle(np.exp(1j * phases.sum(axis=1)))
+        rows = []
+        for m in range(grid.size):
+            row = [_fmt(grid[m]), _fmt(trace.theta[m]), _fmt(det[m])]
+            row += [_fmt(v) for v in phases[m]]
+            if cpath is not None:
+                row += [_fmt(v) for v in np.clip(cpath.mu[m], -1.0 / CHART_TOL, 1.0 / CHART_TOL)]
+            if upath is not None:
+                for i in range(3):
+                    for j in range(i, 3):
+                        sig = upath.sigmas[m, i, j]
+                        row += [_fmt(sig.real), _fmt(sig.imag)]
+            rows.append(",".join(row) + "\n")
+        lines = _read(out).splitlines(keepends=True)
+        assert lines[3:-3] == rows
+        assert "".join(lines) == "".join(lines[:3] + rows + lines[-3:])
+
     def test_mu_columns_present_only_with_chart_backend(self, tmp_path):
         out_u = tmp_path / "u.csv"
         main(["trace", "--model", "poschl_teller:2", "--lambda", "-2",
@@ -133,6 +178,21 @@ class TestTrace:
               "--step", "0.05", "--backend", "chart", "--out", str(out_c)])
         header_c = [ln for ln in _read(out_c).splitlines() if not ln.startswith("#")][0]
         assert "mu_1" in header_c and "sigma_re_11" not in header_c
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True, database=None)
+@given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(-2.2250738585072014e-308)
+@example(float("inf"))
+@example(float("-inf"))
+@example(float("nan"))
+@example(-float("nan"))
+def test_percent_format_is_format_17g(x):
+    # the trace rows use one '%.17g' pattern; _fmt writes format(x, ".17g")
+    assert "%.17g" % x == format(x, ".17g") == _fmt(x)
 
 
 class TestSweep:

@@ -1,9 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 from scipy.linalg import expm as scipy_expm
 
 from maslovflow import StructureError, det_phase, mat_exp, sym_arctan, sym_eig
-from maslovflow.matrixkit import as_real_symmetric, symmetrize
+from maslovflow.matrixkit import (
+    _PADE_B,
+    _pade_identities,
+    _solve,
+    as_real_symmetric,
+    symmetrize,
+)
 from oracles import eig2x2_quadratic
 
 
@@ -160,6 +169,60 @@ class TestMatExpStack:
             mat_exp(np.zeros((4, 2, 3)))
         with pytest.raises(StructureError):
             mat_exp(np.zeros(3))
+
+
+class TestSolve:
+    """_solve calls LAPACK's solve gufunc the way np.linalg.solve does,
+    without its wrapper; the bits and the singular-matrix error must be
+    np.linalg.solve's."""
+
+    def test_gufunc_signature(self):
+        # a private numpy module: a numpy that moves or changes it fails here
+        assert _umath_linalg.solve.signature == "(m,m),(m,n)->(m,n)"
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_same_bits_as_linalg_solve(self, rng, dtype, n):
+        for k in (1, n, 2 * n):
+            a = rng.standard_normal((n, n)).astype(dtype)
+            b = rng.standard_normal((n, k)).astype(dtype)
+            if dtype is np.complex128:
+                a += 1j * rng.standard_normal((n, n))
+                b += 1j * rng.standard_normal((n, k))
+            bt = np.ascontiguousarray(b.T)
+            # C-order, then transposed (non-contiguous) views as the chart step passes them
+            for lhs, rhs in ((a, b), (a.T, bt.T), (a[::-1, ::-1], b[::-1])):
+                got = _solve(lhs, rhs)
+                ref = np.linalg.solve(lhs, rhs)
+                assert got.dtype == ref.dtype == dtype
+                assert np.array_equal(got, ref)
+
+    def test_mixed_real_and_complex(self, rng):
+        a = rng.standard_normal((3, 3))
+        b = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+        assert np.array_equal(_solve(a, b), np.linalg.solve(a, b))
+
+    @pytest.mark.parametrize("a", [np.zeros((1, 1)), np.array([[1.0, 2.0], [2.0, 4.0]]),
+                                   np.array([[1.0, 1j], [1j, -1.0]])])
+    def test_exactly_singular_raises_without_warning(self, a):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+                _solve(a, np.ones((a.shape[0], 1), dtype=a.dtype))
+            with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+                np.linalg.solve(a, np.ones((a.shape[0], 1), dtype=a.dtype))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_pade_identities_are_the_identity_products(dtype):
+    # multiplying by the identity is exact: the cached pair holds the bits
+    # (signs of zeros included) of b_0 I and b_1 I formed in place
+    for degree, b in _PADE_B.items():
+        for n in (1, 3, 6):
+            pair = _pade_identities(n, np.dtype(dtype), degree)
+            for coeff, m in zip(b[:2], pair):
+                assert m.dtype == dtype and not m.flags.writeable
+                assert m.tobytes() == (coeff * np.eye(n, dtype=dtype)).tobytes()
 
 
 class TestSymArctan:
