@@ -19,13 +19,10 @@ from .errors import (
     StructureError,
 )
 from .maslov import (
-    CrossingRecord,
-    MaslovResult,
     RefineResult,
     SweepRow,
     SweepTable,
     TraceResult,
-    detect_crossings,
     end_intersection_dimension,
     refine_eigenvalue,
     run_trace,
@@ -42,6 +39,8 @@ from .models import (
 )
 from .riccati import (
     ChartPath,
+    CrossingRecord,
+    MaslovResult,
     SymmetricChart,
     integrate_chart,
     singular_eigenvalue_count,

@@ -352,10 +352,9 @@ def cmd_refine(cfg: RunConfig) -> int:
     spec = cfg.require_model()
     if cfg.lambda_range is None:
         raise ConfigError("refine needs --lambda-range lo:hi as the bracket")
-    backend = "unitary" if cfg.backend == "both" else cfg.backend
     lo, hi = cfg.lambda_range
     result = refine_eigenvalue(spec, lo, hi, cfg.x_grid(), tol_lambda=cfg.tol_lambda,
-                               backend=backend, chart_tol=cfg.chart_tol)
+                               backend=cfg.backend, chart_tol=cfg.chart_tol)
     payload = {
         "lambda_star": result.lam_star,
         "bracket": [result.bracket_lo, result.bracket_hi],

@@ -1,10 +1,11 @@
-"""Crossing detection, Maslov index assembly, and spectral-parameter sweeps.
+"""Per-lambda rows, the end-of-interval flag, lambda sweeps and refinement.
 
 A crossing is a passage of the evolving Lagrangian plane through the train of
 the standard reference plane: an eigenphase of the unitary representative u
 passes the angle pi (equivalently an eigenvalue of the chart s passes through
-infinity).  Eigenvalues of the underlying self-adjoint problem are located by
-integer jumps of the crossing count as the spectral parameter increases.
+infinity); each path carries the crossings its integrator counted.
+Eigenvalues of the underlying self-adjoint problem are located by integer
+jumps of the crossing count as the spectral parameter increases.
 """
 
 from __future__ import annotations
@@ -23,19 +24,16 @@ from .errors import (
     StructureError,
 )
 from .models import ModelSpec, get_model
-from .riccati import ChartPath, SymmetricChart, _match_phases, integrate_chart
+from .riccati import ChartPath, CrossingRecord, MaslovResult, SymmetricChart, integrate_chart
 from .system import CoefficientField, LagrangianFrame, chart_from_frame, farfield_frame
 from .tolerances import CHART_TOL, END_FLAG_ANGLE, check_chart_tol
 from .unitary import UnitaryPath, UnitarySymmetric, cayley, integrate_unitary, unitary_from_frame
 
 __all__ = [
-    "CrossingRecord",
-    "MaslovResult",
     "SweepRow",
     "SweepTable",
     "RefineResult",
     "TraceResult",
-    "detect_crossings",
     "end_intersection_dimension",
     "run_trace",
     "sweep_lambda",
@@ -43,74 +41,6 @@ __all__ = [
 ]
 
 BACKENDS = ("chart", "unitary", "both")
-
-
-@dataclass(frozen=True)
-class CrossingRecord:
-    """Passages of eigenphases of u through pi within one grid step.
-
-    ``direction`` follows the declared sign convention: an eigenphase of u
-    increasing through pi counts +1.
-    """
-
-    x: float
-    multiplicity: int
-    direction: int
-
-    def __post_init__(self) -> None:
-        if self.multiplicity < 1:
-            raise StructureError("crossing multiplicity must be >= 1")
-        if self.direction not in (-1, 1):
-            raise StructureError("crossing direction must be -1 or +1")
-
-
-@dataclass(frozen=True)
-class MaslovResult:
-    """Crossings with their unsigned and signed totals."""
-
-    crossings: tuple[CrossingRecord, ...]
-    unsigned_count: int
-    signed_index: int
-
-
-def detect_crossings(path: ChartPath | UnitaryPath) -> MaslovResult:
-    """Passages of the eigenphases through pi along a path of either route,
-    counted from the path's phases and angle (see ``_count_from_angle``).
-
-    The integrators have refused every step the count cannot follow.
-    """
-    if path.phases.shape[0] != path.grid.size or path.theta.shape != path.grid.shape:
-        raise StructureError("path and grid lengths disagree")
-    return _count_from_angle(path.phases, path.theta, path.grid)
-
-
-def _count_from_angle(
-    phases: np.ndarray,
-    theta: np.ndarray,
-    grid: np.ndarray,
-) -> MaslovResult:
-    """Crossings from the sorted principal eigenphases (N, n) of u and the
-    angle theta (the sum of the continuous eigenphases).
-
-    Each step's net passage count k and the matching it gives come from
-    ``_match_phases``.  A step with k != 0 gives one record of multiplicity
-    |k| and direction sign(k) at the mean of the linearly interpolated
-    passages of its wrapping pairs.
-    """
-    k, wraps, cur = _match_phases(phases, theta)
-    prev = phases[:-1]
-    records = []
-    for m in np.flatnonzero(k):
-        direction = int(np.sign(k[m]))
-        wrapping = wraps[m] != 0
-        lo, hi = prev[m, wrapping], cur[m, wrapping]
-        frac = (direction * np.pi - lo) / (hi - lo)
-        x = grid[m] + frac * (grid[m + 1] - grid[m])
-        records.append(CrossingRecord(x=float(np.mean(x)), multiplicity=abs(int(k[m])),
-                                      direction=direction))
-    return MaslovResult(crossings=tuple(records),
-                        unsigned_count=sum(c.multiplicity for c in records),
-                        signed_index=sum(c.direction * c.multiplicity for c in records))
 
 
 def end_intersection_dimension(
@@ -221,34 +151,30 @@ def _run_row(
     """The per-lambda core behind traces, sweep rows and refine probes.
 
     From the ``_far_field_ends`` data it integrates the requested route(s),
-    counts crossings on each, and sets the end-of-interval flag.  Counts of
-    both routes are returned, not compared.
+    reads the crossings each path carries, and sets the end-of-interval
+    flag.  Counts of both routes are returned, not compared.
     """
     frame0, init_mode, u_ref = ends
     n = field.n
     chart_path: ChartPath | None = None
     u_path: UnitaryPath | None = None
-    count_chart = count_unitary = -1
     if backend != "unitary":
         s0 = SymmetricChart(np.zeros((n, n))) if frame0 is None else chart_from_frame(frame0)
         chart_path = integrate_chart(field, lam, grid, s0, chart_tol)
-        result = detect_crossings(chart_path)
-        count_chart = result.unsigned_count
     if backend != "chart":
         u0 = UnitarySymmetric(np.eye(n, dtype=complex)) if frame0 is None else unitary_from_frame(frame0)
         u_path = integrate_unitary(field, lam, grid, u0)
-        result = detect_crossings(u_path)
-        count_unitary = result.unsigned_count
     if u_path is None:
         path, u_end = chart_path, cayley(chart_path.chart(-1)).mat
     else:
         path, u_end = u_path, u_path.us[-1]
-    end_flag, end_dim = _end_of_interval_flag(result.crossings, grid, path.phases[-1], u_end,
-                                              u_ref, chart_tol)
+    end_flag, end_dim = _end_of_interval_flag(path.result.crossings, grid, path.phases[-1],
+                                              u_end, u_ref, chart_tol)
     return TraceResult(lam=lam, grid=grid, backend=backend, init_mode=init_mode,
                        theta=path.theta, unitary_path=u_path, chart_path=chart_path,
-                       result=result, end_flag=end_flag, end_dimension=end_dim,
-                       count_chart=count_chart, count_unitary=count_unitary)
+                       result=path.result, end_flag=end_flag, end_dimension=end_dim,
+                       count_chart=-1 if chart_path is None else chart_path.result.unsigned_count,
+                       count_unitary=-1 if u_path is None else u_path.result.unsigned_count)
 
 
 def run_trace(

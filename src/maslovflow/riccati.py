@@ -1,10 +1,12 @@
-"""Riccati flow of the chart representative s = p q^{-1}.
+"""Riccati flow of the chart representative s = p q^{-1}, and the step gates
+and crossing count of both routes.
 
 The linear flow generated by A = [[a, b], [c, d]] induces
 ``ds/dx = c + d s - s (a + b s)`` on the dense chart of symmetric matrices.
 Integration is done through the Moebius action of local fundamental
 solutions, which passes through chart singularities (points where an
-eigenvalue of s escapes to infinity) without special-casing.
+eigenvalue of s escapes to infinity) without special-casing.  Each
+integrator counts the path it makes once, with ``_count_steps``.
 """
 
 from __future__ import annotations
@@ -23,12 +25,42 @@ from .tolerances import CHART_TOL, PHASE_MATCH_REJECT, check_chart_tol
 BLOCK_STEPS = 256
 
 __all__ = [
+    "CrossingRecord",
+    "MaslovResult",
     "SymmetricChart",
     "ChartPath",
     "integrate_chart",
     "singular_eigenvalue_count",
     "singular_threshold",
 ]
+
+
+@dataclass(frozen=True)
+class CrossingRecord:
+    """Passages of eigenphases of u through pi within one grid step.
+
+    ``direction`` follows the declared sign convention: an eigenphase of u
+    increasing through pi counts +1.
+    """
+
+    x: float
+    multiplicity: int
+    direction: int
+
+    def __post_init__(self) -> None:
+        if self.multiplicity < 1:
+            raise StructureError("crossing multiplicity must be >= 1")
+        if self.direction not in (-1, 1):
+            raise StructureError("crossing direction must be -1 or +1")
+
+
+@dataclass(frozen=True)
+class MaslovResult:
+    """Crossings with their unsigned and signed totals."""
+
+    crossings: tuple[CrossingRecord, ...]
+    unsigned_count: int
+    signed_index: int
 
 
 @dataclass(frozen=True)
@@ -61,6 +93,7 @@ class ChartPath:
     unwound -2 tr arctan(s).
     ``den_signs[m]``, the sign of det of step m's Moebius denominator, is -1
     when an odd number of eigenvalues of s passed infinity in the step.
+    ``result`` holds the path's crossings (``_count_steps``).
     ``flagged_samples`` marks grid indices where that denominator was
     ill-conditioned (chart singularity crossed nearby);
     ``max_symmetry_defect`` is the largest pre-symmetrization defect seen.
@@ -72,6 +105,7 @@ class ChartPath:
     phases: np.ndarray
     theta: np.ndarray
     den_signs: np.ndarray
+    result: MaslovResult
     flagged_samples: tuple[int, ...] = ()
     max_symmetry_defect: float = 0.0
 
@@ -93,34 +127,33 @@ def _principal_phases(phases: np.ndarray) -> np.ndarray:
     return np.sort(np.where(phases == -np.pi, np.pi, phases), axis=1)
 
 
-def _match_phases(phases: np.ndarray,
-                  theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each step's net number k of eigenphases passing pi upward, and the
-    matching of sorted principal phases (N, n) that k gives.
+def _count_steps(grid: np.ndarray, phases: np.ndarray, theta: np.ndarray,
+                 den_signs: np.ndarray | None = None) -> MaslovResult:
+    """Crossings of a path of either route from its sorted principal
+    eigenphases (N, n) and its angle theta, the sum of the continuous
+    eigenphases, once every step has passed the phase gates.
 
-    k = (dtheta - d sum(phases)) / 2 pi is an integer.  With the phases
+    Each step's net number k of eigenphases passing pi upward,
+    k = (dtheta - d sum(phases)) / 2 pi, is an integer.  With the phases
     sorted in (-pi, pi], the one consistent matching is a cyclic shift by k:
-    sorted phase i at sample m continues as phase (i + k) mod n at sample
-    m + 1, lifted by 2 pi floor((i + k) / n), and its motions sum to dtheta.
-    Returns k (N - 1,), the lifts floor((i + k) / n) and the continued
-    phases (N - 1, n).
+    phase i at sample m continues as phase (i + k) mod n at sample m + 1,
+    lifted by 2 pi floor((i + k) / n).  A step is refused (``StepSizeError``)
+    when a matched phase moves more than ``PHASE_MATCH_REJECT`` or the
+    matched motions sum in absolute value to pi or more, beyond which an
+    unwound theta could pick another matching.  Given ``den_signs`` (chart
+    route), it is also refused when k has the other parity than the sign of
+    its Moebius denominator, which each eigenvalue of s passing infinity
+    flips: an unwound angle is blind to a net motion of pi or more.  A step
+    with k != 0 gives one record of multiplicity |k| and direction sign(k)
+    at the mean of the linearly interpolated passages of its wrapping pairs.
     """
     n = phases.shape[1]
     k = np.rint((np.diff(theta) - np.diff(phases.sum(axis=1))) / (2.0 * np.pi)).astype(int)
     shifted = np.arange(n) + k[:, None]
     wraps = shifted // n
+    prev = phases[:-1]
     cur = np.take_along_axis(phases[1:], shifted % n, axis=1) + 2.0 * np.pi * wraps
-    return k, wraps, cur
-
-
-def _check_phase_steps(phases: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Refuse (``StepSizeError``) a step whose matched phase motion exceeds
-    ``PHASE_MATCH_REJECT`` or whose matched motions sum in absolute value to
-    pi or more, beyond which an unwound theta could pick another matching;
-    both routes gate their phases here.  Returns each step's net passage
-    count k."""
-    k, _, cur = _match_phases(phases, theta)
-    motion = np.abs(cur - phases[:-1])
+    motion = np.abs(cur - prev)
     worst, total = motion.max(axis=1), motion.sum(axis=1)
     bad = np.flatnonzero((worst > PHASE_MATCH_REJECT) | (total >= np.pi))
     if bad.size:
@@ -130,25 +163,24 @@ def _check_phase_steps(phases: np.ndarray, theta: np.ndarray) -> np.ndarray:
                                 f"step moved a phase by {worst[m]:.3f} rad")
         raise StepSizeError(f"phase tracking lost at sample {m + 1}: "
                             f"step moved the phases by {total[m]:.3f} rad in all, >= pi")
-    return k
-
-
-def _check_chart_steps(phases: np.ndarray, theta: np.ndarray, den_signs: np.ndarray) -> None:
-    """The chart route's step gates, in order: the angle, the phase motion,
-    and the parity of each step's net passage count k.
-
-    An unwound angle is blind to a step whose eigenphases move by pi or more
-    in net.  Each eigenvalue of s passing infinity flips the sign of det of
-    the step's Moebius denominator, so a step whose k has the other parity
-    is refused (``StepSizeError``).
-    """
-    _check_theta_steps(theta)
-    k = _check_phase_steps(phases, theta)
-    bad = np.flatnonzero((k % 2 == 1) != (den_signs < 0))
-    if bad.size:
-        m = int(bad[0])
-        raise StepSizeError(f"chart angle lost at sample {m + 1}: net passage count {k[m]} "
-                            "disagrees in parity with the Moebius denominator; refine the grid")
+    if den_signs is not None:
+        bad = np.flatnonzero((k % 2 == 1) != (den_signs < 0))
+        if bad.size:
+            m = int(bad[0])
+            raise StepSizeError(f"chart angle lost at sample {m + 1}: net passage count {k[m]} "
+                                "disagrees in parity with the Moebius denominator; refine the grid")
+    records = []
+    for m in np.flatnonzero(k):
+        direction = int(np.sign(k[m]))
+        wrapping = wraps[m] != 0
+        lo, hi = prev[m, wrapping], cur[m, wrapping]
+        frac = (direction * np.pi - lo) / (hi - lo)
+        x = grid[m] + frac * (grid[m + 1] - grid[m])
+        records.append(CrossingRecord(x=float(np.mean(x)), multiplicity=abs(int(k[m])),
+                                      direction=direction))
+    return MaslovResult(crossings=tuple(records),
+                        unsigned_count=sum(c.multiplicity for c in records),
+                        signed_index=sum(c.direction * c.multiplicity for c in records))
 
 
 def _unwound_theta(mu: np.ndarray) -> np.ndarray:
@@ -240,11 +272,13 @@ def integrate_chart(
     propagators' top rows (``_mobius_scale``); the smallest singular values
     of all denominators follow the loop as one stack.  The integration
     proceeds through chart singularities; samples where the Moebius
-    denominator condition exceeds ``1 / chart_tol`` are flagged.  If a denominator is exactly singular (the solve fails) the
-    step is retried as two half steps (the singular set is isolated), the
-    sample flagged and the product of the two denominator signs recorded.
-    The angle is unwound from the chart eigenvalues, and every step passes
-    the gates of ``_check_chart_steps``.
+    denominator condition exceeds ``1 / chart_tol`` are flagged.  If a
+    denominator is exactly singular (the solve fails) the step is retried as
+    two half steps (the singular set is isolated), the sample flagged and
+    the product of the two denominator signs recorded.
+    The angle is unwound from the chart eigenvalues.  Every step passes, in
+    order, ``_check_theta_steps`` and the phase and parity gates of
+    ``_count_steps``, which gives the path its crossings.
     """
     check_chart_tol(chart_tol)
     grid = field.check_grid(grid)
@@ -299,7 +333,7 @@ def integrate_chart(
 
     phases = _principal_phases(-2.0 * np.arctan(mu))
     theta = _unwound_theta(mu)
-    _check_chart_steps(phases, theta, den_signs)
+    _check_theta_steps(theta)
     return ChartPath(grid=grid, charts=charts, mu=mu, phases=phases, theta=theta,
-                     den_signs=den_signs, flagged_samples=flagged,
-                     max_symmetry_defect=float(defects.max()))
+                     den_signs=den_signs, result=_count_steps(grid, phases, theta, den_signs),
+                     flagged_samples=flagged, max_symmetry_defect=float(defects.max()))

@@ -20,9 +20,10 @@ from .errors import StepSizeError, StructureError
 from .matrixkit import det_phase, mat_exp, sym_eig
 from .riccati import (
     BLOCK_STEPS,
+    MaslovResult,
     SymmetricChart,
-    _check_phase_steps,
     _check_theta_steps,
+    _count_steps,
     _principal_phases,
 )
 from .system import CoefficientField, LagrangianFrame, SymplecticCoefficients
@@ -70,8 +71,9 @@ class UnitaryPath:
     orders them; ``theta`` is the angle between the evolving plane and the
     standard reference plane, accumulated without branch ambiguity;
     ``sigmas[m]`` is the Lie-algebra step that produced sample m (zero at
-    m = 0).  Defects are measured on the raw step products, before any
-    re-projection, so they quantify the intrinsic drift of the scheme.
+    m = 0); ``result`` holds the path's crossings (``_count_steps``).
+    Defects are measured on the raw step products, before any re-projection,
+    so they quantify the intrinsic drift of the scheme.
     """
 
     grid: np.ndarray
@@ -79,6 +81,7 @@ class UnitaryPath:
     sigmas: np.ndarray
     phases: np.ndarray
     theta: np.ndarray
+    result: MaslovResult
     max_unitarity_defect: float
     max_symmetry_defect: float
     max_circle_defect: float
@@ -147,8 +150,8 @@ def integrate_unitary(
     starts at the principal value of -i log det u0; the sampled path
     satisfies exp(i theta_m) = det u_m up to roundoff, and the worst circle
     defect is recorded and gated.  Every step then passes, in order, ``_check_theta_steps``, the
-    bound ``U_JUMP_REJECT`` on the change of any entry of u, and
-    ``_check_phase_steps``.
+    bound ``U_JUMP_REJECT`` on the change of any entry of u, and the phase
+    gates of ``_count_steps``, which gives the path its crossings.
     """
     grid = field.check_grid(grid)
     if u0.n != field.n:
@@ -228,8 +231,8 @@ def integrate_unitary(
         raise StepSizeError(
             f"consecutive u samples differ by {jump:.3f} >= {U_JUMP_REJECT}; refine the grid")
     phases = _principal_phases(np.angle(np.linalg.eigvals(us)))
-    _check_phase_steps(phases, theta)
     return UnitaryPath(grid=grid, us=us, sigmas=sigmas, phases=phases, theta=theta,
+                       result=_count_steps(grid, phases, theta),
                        max_unitarity_defect=max_u_defect,
                        max_symmetry_defect=max_s_defect,
                        max_circle_defect=circle,

@@ -283,6 +283,13 @@ class TestRefine:
         payload = json.loads(_read(out))
         assert abs(payload["lambda_star"] + 4.0) < 1e-3
 
+    def test_refine_runs_both_routes_by_default(self, capsys):
+        # kdv7's top eigenvalue: the chart route's count jump at h = 0.04 lies
+        # below the unitary route's, so a probe between them disagrees
+        rc = main(["refine", "--model", "kdv7", "--lambda-range=0.1:0.15", "--step", "0.04"])
+        assert rc == EXIT_DISAGREE
+        assert "chart=3 unitary=2" in capsys.readouterr().err
+
 
 class TestSelftest:
     def test_passes(self, capsys):

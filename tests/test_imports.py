@@ -30,8 +30,7 @@ PUBLIC_NAMES = {
     "ChartDomainError", "ConfigError", "HyperbolicityError", "MaslovError", "ModelError",
     "StepSizeError", "StructureError",
     # maslov
-    "CrossingRecord", "MaslovResult", "RefineResult", "SweepRow", "SweepTable", "TraceResult",
-    "detect_crossings", "end_intersection_dimension",
+    "RefineResult", "SweepRow", "SweepTable", "TraceResult", "end_intersection_dimension",
     "refine_eigenvalue", "run_trace", "sweep_lambda",
     # matrixkit
     "det_phase", "mat_exp", "sym_arctan", "sym_eig",
@@ -39,8 +38,8 @@ PUBLIC_NAMES = {
     "ModelSpec", "get_model", "kdv7_coefficients", "kdv7_field", "kdv7_wave",
     "poschl_teller_field",
     # riccati
-    "ChartPath", "SymmetricChart", "integrate_chart", "singular_eigenvalue_count",
-    "singular_threshold",
+    "ChartPath", "CrossingRecord", "MaslovResult", "SymmetricChart", "integrate_chart",
+    "singular_eigenvalue_count", "singular_threshold",
     # system
     "CoefficientField", "LagrangianFrame", "SymplecticCoefficients", "chart_from_frame",
     "farfield_frame", "total_frame_rank_loss", "validate_coefficients",

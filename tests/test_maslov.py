@@ -7,15 +7,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from maslovflow import (
-    ChartPath,
     ConfigError,
     CrossingRecord,
     HyperbolicityError,
     ModelSpec,
     SymmetricChart,
-    UnitaryPath,
     cayley,
-    detect_crossings,
     end_intersection_dimension,
     get_model,
     integrate_chart,
@@ -27,10 +24,10 @@ from maslovflow import (
     validate_coefficients,
 )
 from maslovflow.errors import BackendDisagreementError, StepSizeError, StructureError
-from maslovflow.maslov import SweepRow, _count_from_angle
+from maslovflow.maslov import SweepRow
 from maslovflow.riccati import (
-    _check_chart_steps,
-    _check_phase_steps,
+    _check_theta_steps,
+    _count_steps,
     _principal_phases,
     _unwound_theta,
 )
@@ -45,29 +42,30 @@ def _grid(n=4001, lo=-20.0, hi=20.0):
 
 
 def scripted_path(grid, branches, v=None):
-    """Unitary path u = V diag(exp(i branches)) V^T carrying its eigenphases
-    and its exact angle, the sum of the continuous eigenphase branches
-    (N, n); no step gate has seen it."""
+    """The eigenphases and the exact angle of u = V diag(exp(i branches))
+    V^T, the angle being the sum of the continuous eigenphase branches
+    (N, n), and the crossings ``_count_steps`` counts from them."""
     branches = np.asarray(branches, dtype=float).reshape(grid.size, -1)
     v = np.eye(branches.shape[1]) if v is None else v
     us = np.einsum("ij,mj,kj->mik", v, np.exp(1j * branches), v)
-    return UnitaryPath(grid=grid, us=us, sigmas=np.zeros_like(us),
-                       phases=_principal_phases(np.angle(np.linalg.eigvals(us))),
-                       theta=branches.sum(axis=1), max_unitarity_defect=0.0,
-                       max_symmetry_defect=0.0, max_circle_defect=0.0)
+    phases = _principal_phases(np.angle(np.linalg.eigvals(us)))
+    theta = branches.sum(axis=1)
+    return phases, theta, _count_steps(grid, phases, theta)
+
+
+def scripted_count(grid, branches):
+    """The crossings alone of ``scripted_path``."""
+    return scripted_path(grid, branches)[2]
 
 
 class TestDetectCrossings:
     def test_constant_path_has_none(self):
         grid = np.linspace(0, 1, 11)
-        path = scripted_path(grid, np.zeros((11, 2)))
-        assert detect_crossings(path).crossings == ()
-        with pytest.raises(StructureError, match="path and grid lengths disagree"):
-            detect_crossings(dataclasses.replace(path, grid=grid[:-1]))
+        assert scripted_count(grid, np.zeros((11, 2))).crossings == ()
 
     def test_scripted_scalar_crossing(self):
         grid = np.linspace(-0.5, 0.5, 101)
-        crossings = detect_crossings(scripted_path(grid, np.pi + grid)).crossings
+        crossings = scripted_count(grid, np.pi + grid).crossings
         assert len(crossings) == 1
         rec = crossings[0]
         assert rec.multiplicity == 1
@@ -76,15 +74,14 @@ class TestDetectCrossings:
 
     def test_scripted_decreasing_crossing(self):
         grid = np.linspace(-0.5, 0.5, 101)
-        crossings = detect_crossings(scripted_path(grid, np.pi - grid)).crossings
+        crossings = scripted_count(grid, np.pi - grid).crossings
         assert len(crossings) == 1
         assert crossings[0].direction == -1
 
     def test_double_crossing_multiplicity(self):
         grid = np.linspace(-0.5, 0.5, 101)
         phase = np.pi + grid
-        crossings = detect_crossings(
-            scripted_path(grid, np.column_stack([phase, phase + 0.3]))).crossings
+        crossings = scripted_count(grid, np.column_stack([phase, phase + 0.3])).crossings
         assert sum(c.multiplicity for c in crossings) == 2
         assert all(c.direction == +1 for c in crossings)
 
@@ -94,8 +91,7 @@ class TestDetectCrossings:
         phase = np.pi + grid
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            crossings = detect_crossings(
-                scripted_path(grid, np.column_stack([phase, phase]))).crossings
+            crossings = scripted_count(grid, np.column_stack([phase, phase])).crossings
         assert len(crossings) == 1
         assert crossings[0].multiplicity == 2
         assert crossings[0].direction == +1
@@ -120,7 +116,7 @@ class TestDetectCrossings:
         phases = np.array([[0.0], [0.5], [1.5]])
         with pytest.raises(StepSizeError,
                            match="lost at sample 2: step moved a phase by 1.000 rad"):
-            _check_phase_steps(phases, phases[:, 0])
+            _count_steps(np.arange(3.0), phases, phases[:, 0])
         # both integrators run it: a field turning one phase, along
         # (1, 1, 1, 1) / 2, by 0.8 > pi/4 in one step, which changes no entry
         # of u by as much as 0.2
@@ -138,7 +134,7 @@ class TestDetectCrossings:
         start = np.array([-2.0, -1.2, -0.4, 0.4, 1.2])
         phases = np.stack([start, start + 0.7 * np.array([-1, -1, -1, 1, 1])])
         with pytest.raises(StepSizeError, match="moved the phases by 3.500 rad in all, >= pi"):
-            _check_phase_steps(phases, phases.sum(axis=1))
+            _count_steps(np.arange(2.0), phases, phases.sum(axis=1))
 
     def test_chart_step_moving_pi_in_net_refused(self):
         # five phases each turning 0.7 per step, one of them passing pi in
@@ -154,9 +150,9 @@ class TestDetectCrossings:
             integrate_unitary(field, 0.0, grid, cayley(s0))
         # ten times finer, both routes count the six passages
         grid = np.linspace(0.0, 10.0, 101)
-        result = detect_crossings(integrate_chart(field, 0.0, grid, s0))
+        result = integrate_chart(field, 0.0, grid, s0).result
         assert result.unsigned_count == result.signed_index == 6
-        assert detect_crossings(integrate_unitary(field, 0.0, grid, cayley(s0))).signed_index == 6
+        assert integrate_unitary(field, 0.0, grid, cayley(s0)).result.signed_index == 6
 
 
 # largest per-step motion of a generated branch, just below PHASE_MATCH_REJECT
@@ -187,34 +183,39 @@ def branch_paths(draw, n_min=1, low=0.0, net_max=None, total_max=None):
 
 
 def _count_exact(branches, v):
-    """The phase gate and the count on u = V diag(exp(i branches)) V^T and
-    the exact angle."""
-    grid = np.linspace(0.0, 1.0, branches.shape[0])
-    path = scripted_path(grid, branches, v)
-    _check_phase_steps(path.phases, path.theta)
-    return detect_crossings(path)
+    """The phase gates and the count on u = V diag(exp(i branches)) V^T and
+    the exact angle; returns the phases, the angle and the count."""
+    return scripted_path(np.linspace(0.0, 1.0, branches.shape[0]), branches, v)
 
 
 def _count_unwound(branches, v):
     """The chart route's gates and count on s = V diag(-tan(branches / 2))
     V^T, with the angle the chart path unwinds from its eigenvalues and the
     denominator sign of each step, -1 where the branches pass pi an odd
-    number of times."""
+    number of times; returns the phases, the angle and the count."""
     grid = np.linspace(0.0, 1.0, branches.shape[0])
     charts = np.einsum("ij,mj,kj->mik", v, -np.tan(0.5 * branches), v)
     mu = np.linalg.eigvalsh(charts)
     up, down = branch_passages(branches)
     signs = np.where((up + down) % 2 == 1, -1.0, 1.0)
-    path = ChartPath(grid=grid, charts=charts, mu=mu,
-                     phases=_principal_phases(-2.0 * np.arctan(mu)),
-                     theta=_unwound_theta(mu), den_signs=signs)
-    _check_chart_steps(path.phases, path.theta, path.den_signs)
-    return detect_crossings(path)
+    phases, theta = _principal_phases(-2.0 * np.arctan(mu)), _unwound_theta(mu)
+    _check_theta_steps(theta)
+    return phases, theta, _count_steps(grid, phases, theta, signs)
 
 
-def _assert_counts_right(result, branches):
-    """Signed index equal to the reference; unsigned count and per-step
-    directions too when no step holds passages in both directions."""
+def _assert_winding(phases, theta, result):
+    """End-point winding (theta_end - theta_0 - sum phi_end + sum phi_0) / 2 pi
+    equal to the per-step signed count."""
+    winding = (theta[-1] - theta[0] - phases[-1].sum() + phases[0].sum()) / (2.0 * np.pi)
+    assert abs(winding - result.signed_index) < 1e-9
+
+
+def _assert_counts_right(counted, branches):
+    """Signed index equal to the reference and to the end-point winding;
+    unsigned count and per-step directions too when no step holds passages
+    in both directions."""
+    phases, theta, result = counted
+    _assert_winding(phases, theta, result)
     up, down = branch_passages(branches)
     assert result.signed_index == int(np.sum(up - down))
     if np.any((up > 0) & (down > 0)):
@@ -294,7 +295,7 @@ def test_unwound_angle_refuses_or_counts_right_below_3pi(path):
 class TestMaslovIndex:
     def test_empty(self):
         grid = np.linspace(0.0, 1.0, 3)
-        res = _count_from_angle(np.zeros((3, 2)), np.zeros(3), grid)
+        res = _count_steps(grid, np.zeros((3, 2)), np.zeros(3))
         assert res.crossings == ()
         assert res.unsigned_count == 0 and res.signed_index == 0
 
@@ -304,7 +305,7 @@ class TestMaslovIndex:
         branches = np.array([[np.pi - 0.1, 0.1 - np.pi, 0.1 - np.pi],
                              [np.pi + 0.1, 0.1 - np.pi, 0.1 - np.pi],
                              [np.pi + 0.1, -0.1 - np.pi, -0.1 - np.pi]])
-        res = detect_crossings(scripted_path(grid, branches))
+        res = scripted_count(grid, branches)
         assert [(c.direction, c.multiplicity) for c in res.crossings] == [(1, 1), (-1, 2)]
         assert res.unsigned_count == 3
         assert res.signed_index == -1
@@ -325,8 +326,10 @@ class TestRunTrace:
     def test_backend_both_counts_agree(self):
         field = get_model("poschl_teller:2")
         trace = run_trace(field, -2.0, _grid(2001), backend="both")
-        chart_count = detect_crossings(trace.chart_path).unsigned_count
+        chart_count = trace.chart_path.result.unsigned_count
         assert trace.result.unsigned_count == chart_count == 1
+        for path in (trace.chart_path, trace.unitary_path):
+            _assert_winding(path.phases, path.theta, path.result)
 
     def test_identity_fallback_at_non_hyperbolic_lambda(self):
         field = get_model("poschl_teller:2")
@@ -370,7 +373,7 @@ class TestRunTrace:
         right_grid = np.linspace(-4, 20, 2401)
         u_mid = UnitarySymmetric(left.unitary_path.us[-1])
         right_path = integrate_unitary(field, lam, right_grid, u_mid)
-        total = left.result.unsigned_count + detect_crossings(right_path).unsigned_count
+        total = left.result.unsigned_count + right_path.result.unsigned_count
         assert total == full.result.unsigned_count == 2
 
 
@@ -479,16 +482,15 @@ class TestRefine:
     def test_disagreeing_probe_raises(self, monkeypatch):
         import maslovflow.maslov as maslov_mod
 
-        real = maslov_mod.detect_crossings
+        real = maslov_mod.integrate_chart
 
-        def one_more(path):
+        def one_more(*args, **kwargs):
             # the chart route counts one crossing more than the unitary route
-            result = real(path)
-            if not isinstance(path, ChartPath):
-                return result
-            return dataclasses.replace(result, unsigned_count=result.unsigned_count + 1)
+            path = real(*args, **kwargs)
+            result = dataclasses.replace(path.result, unsigned_count=path.result.unsigned_count + 1)
+            return dataclasses.replace(path, result=result)
 
-        monkeypatch.setattr(maslov_mod, "detect_crossings", one_more)
+        monkeypatch.setattr(maslov_mod, "integrate_chart", one_more)
         with pytest.raises(BackendDisagreementError, match="lambda=-4.5: chart=1 unitary=0"):
             refine_eigenvalue("poschl_teller:2", -4.5, -3.5, _grid(1001), backend="both")
 

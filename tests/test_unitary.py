@@ -200,9 +200,7 @@ class TestIntegrateUnitary:
         u0 = unitary_from_frame(farfield_frame(field.farfield_minus(lam), "unstable"))
         path = integrate_unitary(field, lam, grid, u0)
         theta = path.theta
-        from maslovflow import detect_crossings
-
-        assert detect_crossings(path).unsigned_count == count
+        assert path.result.unsigned_count == count
         winding = (theta[-1] - theta[0]) / (2 * np.pi)
         assert abs(winding - count) < 0.2
 
