@@ -3,10 +3,11 @@
 Two equivalent integration routes are provided: a matrix Riccati flow on the
 symmetric-matrix chart of the Lagrangian Grassmannian (stepped through chart
 singularities by the Moebius action of local fundamental solutions), and a
-singularity-free flow pulled back to the unitary Lie algebra whose trace
-accumulates the rotation angle.  Crossing counts over a spectral-parameter
-sweep count the eigenvalues of self-adjoint problems such as bundled
-seventh-order KdV solitary-wave stability model.
+singularity-free flow on unitary symmetric matrices, stepped by the Moebius
+action of the same propagators or by the Lie-algebra Euler scheme, with the
+rotation angle accumulated step by step.  Crossing counts over a
+spectral-parameter sweep count the eigenvalues of self-adjoint problems such
+as bundled seventh-order KdV solitary-wave stability model.
 """
 
 from .errors import (

@@ -222,8 +222,8 @@ def _open_out(path: str):
 
 def cmd_trace(cfg: RunConfig) -> int:
     """Trace one lambda and write the per-sample CSV: x, theta, det phase,
-    u eigenphases, clipped chart eigenvalues (chart route) and the upper
-    triangle of sigma (unitary route), then a footer with the counts.
+    u eigenphases and clipped chart eigenvalues (chart route), then a footer
+    with the counts.
 
     The columns are built once as arrays; rows are formatted with one
     ``%.17g`` pattern and written ``_TRACE_BLOCK_ROWS`` at a time, the same
@@ -240,29 +240,23 @@ def cmd_trace(cfg: RunConfig) -> int:
 
     n = field.n
     have_chart = trace.chart_path is not None
-    have_unitary = trace.unitary_path is not None
     columns = ["x", "theta_rad", "det_phase_rad"]
     columns += [f"u_phase_{i + 1}_rad" for i in range(n)]
     if have_chart:
         columns += [f"mu_{i + 1}" for i in range(n)]
-    if have_unitary:
-        for i in range(n):
-            for j in range(i, n):
-                columns += [f"sigma_re_{i + 1}{j + 1}", f"sigma_im_{i + 1}{j + 1}"]
 
-    if have_unitary:
+    if trace.unitary_path is not None:
         phase_cols = trace.unitary_path.phases
         det_col = np.angle(np.linalg.det(trace.unitary_path.us))
     else:
         # the phase of det Cay(s) is the sum of its eigenphases
         phase_cols = trace.chart_path.phases
         det_col = np.angle(np.exp(1j * phase_cols.sum(axis=1)))
-    # the table's columns but sigma's, as (rows, k) float arrays
+    # the table's columns as (rows, k) float arrays
     parts = [grid[:, None], trace.theta[:, None], det_col[:, None], phase_cols]
     if have_chart:
         clip = 1.0 / cfg.chart_tol
         parts.append(np.clip(trace.chart_path.mu, -clip, clip))
-    upper = np.triu_indices(n)
     row_fmt = ",".join(["%.17g"] * len(columns)) + "\n"
 
     out_path = cfg.out or f"trace_{spec.name.replace(':', '_')}_{_fmt(lam)}.csv"
@@ -275,14 +269,8 @@ def cmd_trace(cfg: RunConfig) -> int:
         # a block at a time: the Python floats of the whole table would
         # raise peak memory by several MB on a long trace
         for lo in range(0, grid.size, _TRACE_BLOCK_ROWS):
-            hi = lo + _TRACE_BLOCK_ROWS
-            block = [p[lo:hi] for p in parts]
-            if have_unitary:
-                # sigma_ij for i <= j as (real, imag) pairs, taken per block
-                # so no table-sized copy of sigma is made
-                sig = trace.unitary_path.sigmas[lo:hi, upper[0], upper[1]]
-                block.append(np.stack([sig.real, sig.imag], axis=-1).reshape(len(sig), -1))
-            fh.writelines([row_fmt % tuple(row) for row in np.hstack(block).tolist()])
+            block = np.hstack([p[lo:lo + _TRACE_BLOCK_ROWS] for p in parts])
+            fh.writelines([row_fmt % tuple(row) for row in block.tolist()])
         res = trace.result
         fh.write(f"# crossings: {res.unsigned_count}\n")
         fh.write(f"# signed_index: {res.signed_index}\n")

@@ -151,6 +151,7 @@ def _run_row(
     """The per-lambda core behind traces, sweep rows and refine probes.
 
     From the ``_far_field_ends`` data it integrates the requested route(s),
+    the unitary one by the Moebius scheme on the chart route's propagators,
     reads the crossings each path carries, and sets the end-of-interval
     flag.  Counts of both routes are returned, not compared.
     """
@@ -163,7 +164,7 @@ def _run_row(
         chart_path = integrate_chart(field, lam, grid, s0, chart_tol)
     if backend != "chart":
         u0 = UnitarySymmetric(np.eye(n, dtype=complex)) if frame0 is None else unitary_from_frame(frame0)
-        u_path = integrate_unitary(field, lam, grid, u0)
+        u_path = integrate_unitary(field, lam, grid, u0, scheme="moebius")
     if u_path is None:
         path, u_end = chart_path, cayley(chart_path.chart(-1)).mat
     else:

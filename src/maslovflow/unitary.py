@@ -5,9 +5,11 @@ Under u = Cay(s) = (I - is)(I + is)^{-1} the chart Riccati flow becomes
 ``du/dx = C + D u - u (D* + C* u)`` with rotated coefficients C, D built from
 the sp(R^2n) blocks.  That flow is the Lie-algebra action ``xi u - u xi*`` of
 the skew-Hermitian field ``xi = D - (u C* - C u^dag)/2``, so it can be stepped
-inside the unitary group: each step exponentiates a Lie-algebra element and
-the angle accumulates as ``dtheta = -2i tr(sigma_step)``, which is exact on
-the group and needs no branch unwinding.
+inside the unitary group: each Euler step exponentiates a Lie-algebra element
+and the angle accumulates as ``dtheta = -2i tr(sigma_step)``, which is exact on
+the group and needs no branch unwinding.  The order-2 Moebius scheme steps u
+by the linear fractional map the chart route's propagators induce on it, and
+the angle by -2 arg det of that map's denominator.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StepSizeError, StructureError
-from .matrixkit import det_phase, mat_exp, sym_eig
+from .errors import ConfigError, StepSizeError, StructureError
+from .matrixkit import _solve, det_phase, mat_exp, sym_eig
 from .riccati import (
     BLOCK_STEPS,
     MaslovResult,
@@ -25,6 +27,7 @@ from .riccati import (
     _check_theta_steps,
     _count_steps,
     _principal_phases,
+    _propagators,
 )
 from .system import CoefficientField, LagrangianFrame, SymplecticCoefficients
 from .tolerances import CIRCLE_CONSISTENCY, REPROJECT_DEFECT, U_JUMP_REJECT, UNITARY_TYPE
@@ -71,14 +74,15 @@ class UnitaryPath:
     orders them; ``theta`` is the angle between the evolving plane and the
     standard reference plane, accumulated without branch ambiguity;
     ``sigmas[m]`` is the Lie-algebra step that produced sample m (zero at
-    m = 0); ``result`` holds the path's crossings (``_count_steps``).
+    m = 0) on the Euler scheme, None on the Moebius scheme; ``result``
+    holds the path's crossings (``_count_steps``).
     Defects are measured on the raw step products, before any re-projection,
     so they quantify the intrinsic drift of the scheme.
     """
 
     grid: np.ndarray
     us: np.ndarray
-    sigmas: np.ndarray
+    sigmas: np.ndarray | None
     phases: np.ndarray
     theta: np.ndarray
     result: MaslovResult
@@ -126,26 +130,53 @@ def _polar_symmetric_project(u: np.ndarray) -> np.ndarray:
     return 0.5 * (proj + proj.T)
 
 
+def _moebius_matrices(phis: np.ndarray) -> np.ndarray:
+    """The linear fractional maps M = [[P, Q], [R, S]] that the propagators
+    Phi = [[A, B], [C, D]] of a run of steps induce on u, stacked
+    (steps, 2n, 2n): in the frame q = (I + u)/2, p = i(u - I)/2, which has
+    q + ip = I and q - ip = u, Phi gives q' + ip' = P + Q u and
+    q' - ip' = R + S u, with P = ((A + iC) - i(B + iD))/2,
+    Q = ((A + iC) + i(B + iD))/2, R = conj(Q) and S = conj(P)."""
+    n = phis.shape[-1] // 2
+    f = phis[:, :n] + 1j * phis[:, n:]  # [A + iC, B + iD]
+    p = 0.5 * (f[..., :n] - 1j * f[..., n:])
+    q = 0.5 * (f[..., :n] + 1j * f[..., n:])
+    return np.block([[p, q], [q.conj(), p.conj()]])
+
+
 def integrate_unitary(
     field: CoefficientField,
     lam: float,
     grid: np.ndarray,
     u0: UnitarySymmetric,
+    *,
+    scheme: str = "euler",
 ) -> UnitaryPath:
-    """Integrate the unitary flow over ``grid`` with the Lie-algebra Euler
-    scheme and accumulate theta by -2i tr(sigma_step).
+    """Integrate the unitary flow over ``grid`` and accumulate the angle
+    theta of the plane without branch unwinding.
 
-    Each step takes sigma = h xi(x_m, u_m) with the skew-Hermitian field
+    ``scheme="euler"`` is the Lie-algebra Euler scheme (order 1).  Each step
+    takes sigma = h xi(x_m, u_m) with the skew-Hermitian field
     xi = D - (u C* - C u^dag)/2, which satisfies xi u - u xi* = C + D u -
-    u (D* + C* u) on unitary symmetric u, and then u -> exp(sigma) u
-    exp(sigma)^T.  C and D, which do not depend on u, are computed
-    ``BLOCK_STEPS`` steps at a time.  The unitarity and symmetry defects of
-    every raw product are measured, as stacks once the block's products are
-    made: the first step above ``UNITARY_TYPE`` (or with a NaN defect)
-    raises ``StructureError``; the first above ``REPROJECT_DEFECT`` is
-    re-projected (polar factor, then symmetric averaging) and stepping
-    resumes after it, so the path is the one measured step by step; the
-    recorded maxima cover the raw products of the returned path's steps.
+    u (D* + C* u) on unitary symmetric u, then u -> exp(sigma) u
+    exp(sigma)^T, and theta moves by -2i tr(sigma).  C and D, which do not
+    depend on u, are computed ``BLOCK_STEPS`` steps at a time.
+
+    ``scheme="moebius"`` (order 2) steps u by the linear fractional map of
+    the chart route's midpoint propagators, built ``BLOCK_STEPS`` steps at a
+    time (``_moebius_matrices``): u -> (R + S u)(P + Q u)^{-1}.  The
+    denominator P + Q u = q' + ip' is invertible for every plane, and theta
+    moves by -2 arg det(P + Q u), exact while the true step is below 2 pi;
+    the path carries no ``sigmas``.  An exactly singular denominator raises
+    ``StructureError`` naming the step.
+
+    On either scheme the unitarity and symmetry defects of every raw product
+    are measured, as stacks once a run of products is made: the first step
+    above ``UNITARY_TYPE`` (or with a NaN defect) raises ``StructureError``;
+    the first above ``REPROJECT_DEFECT`` is re-projected (polar factor, then
+    symmetric averaging) and stepping resumes after it, so the path is the
+    one measured step by step; the recorded maxima cover the raw products of
+    the returned path's steps.
     The grid is checked by :meth:`CoefficientField.check_grid`.  Theta
     starts at the principal value of -i log det u0; the sampled path
     satisfies exp(i theta_m) = det u_m up to roundoff, and the worst circle
@@ -153,28 +184,38 @@ def integrate_unitary(
     bound ``U_JUMP_REJECT`` on the change of any entry of u, and the phase
     gates of ``_count_steps``, which gives the path its crossings.
     """
+    if scheme not in ("euler", "moebius"):
+        raise ConfigError(f"scheme must be 'euler' or 'moebius', got {scheme!r}")
     grid = field.check_grid(grid)
     if u0.n != field.n:
         raise StructureError("initial u dimension disagrees with field")
 
+    euler = scheme == "euler"
     nsteps = grid.size - 1
     n = field.n
     us = np.empty((nsteps + 1, n, n), dtype=complex)
-    sigmas = np.zeros((nsteps + 1, n, n), dtype=complex)
+    if euler:
+        sigmas = np.zeros((nsteps + 1, n, n), dtype=complex)
+        # h (X / 2) and (h / 2) X round alike: halving is exact short of subnormals
+        half_steps = 0.5 * np.diff(grid)
+    else:
+        sigmas = None
+        dens = np.empty((nsteps, n, n), dtype=complex)
     us[0] = u0.mat
     eye = np.eye(n)
     max_u_defect = 0.0
     max_s_defect = 0.0
     reprojected = 0
     u = u0.mat
-    # h (X / 2) and (h / 2) X round alike: halving is exact short of subnormals
-    half_steps = 0.5 * np.diff(grid)
     for lo in range(0, nsteps, BLOCK_STEPS):
         hi = min(lo + BLOCK_STEPS, nsteps)
-        full = field.full_stack(grid[lo:hi], lam)
-        c_rots, d_rots = rotated_coefficients(SymplecticCoefficients(
-            n=n, a=full[:, :n, :n], b=full[:, :n, n:], c=full[:, n:, :n], d=full[:, n:, n:]))
-        c_conjs = np.conj(c_rots)
+        if euler:
+            full = field.full_stack(grid[lo:hi], lam)
+            c_rots, d_rots = rotated_coefficients(SymplecticCoefficients(
+                n=n, a=full[:, :n, :n], b=full[:, :n, n:], c=full[:, n:, :n], d=full[:, n:, n:]))
+            c_conjs = np.conj(c_rots)
+        else:
+            maps = _moebius_matrices(_propagators(field, grid[lo:hi], grid[lo + 1:hi + 1], lam))
         # Step a run of raw products into us, then measure their defects at
         # once.  Steps after the first one over a bound are dropped and made
         # again from its re-projected product.  A run after a re-projection
@@ -184,18 +225,28 @@ def integrate_unitary(
         while start < hi:
             stop, failure = min(hi, start + span), None
             try:
-                for m, c_rot, c_conj, d_rot in zip(range(start, stop), c_rots[start - lo:],
-                                                   c_conjs[start - lo:], d_rots[start - lo:]):
-                    xi = d_rot - 0.5 * (u @ c_conj - c_rot @ u.conj().T)
-                    sigma = half_steps[m] * (xi - xi.conj().T)
-                    e = mat_exp(sigma)
-                    u = e @ u @ e.T
-                    sigmas[m + 1] = sigma
-                    us[m + 1] = u
+                if euler:
+                    for m, c_rot, c_conj, d_rot in zip(range(start, stop), c_rots[start - lo:],
+                                                       c_conjs[start - lo:], d_rots[start - lo:]):
+                        xi = d_rot - 0.5 * (u @ c_conj - c_rot @ u.conj().T)
+                        sigma = half_steps[m] * (xi - xi.conj().T)
+                        e = mat_exp(sigma)
+                        u = e @ u @ e.T
+                        sigmas[m + 1] = sigma
+                        us[m + 1] = u
+                else:
+                    for m, mob in zip(range(start, stop), maps[start - lo:]):
+                        w = mob[:, n:] @ u + mob[:, :n]  # [P + Q u; R + S u]
+                        dens[m] = w[:n]
+                        u = _solve(w[:n].T, w[n:].T).T
+                        us[m + 1] = u
             except StructureError as exc:
-                # a non-finite product fails the next step's mat_exp: the
-                # products made before it are measured first
+                # a non-finite product fails the next Euler step's mat_exp:
+                # the products made before it are measured first
                 stop, failure = m, exc
+            except np.linalg.LinAlgError:
+                stop, failure = m, StructureError(
+                    f"step {m}: Moebius denominator P + Q u exactly singular")
             raw = us[start + 1:stop + 1]
             u_defects = np.abs(raw @ raw.conj().swapaxes(1, 2) - eye).max(axis=(1, 2))
             s_defects = np.abs(raw - raw.swapaxes(1, 2)).max(axis=(1, 2))
@@ -218,8 +269,11 @@ def integrate_unitary(
             reprojected += 1
             start, span = m + 1, 1
 
-    # theta_{m+1} = theta_m - 2i tr(sigma_{m+1}), summed in step order
-    increments = 2.0 * np.trace(sigmas[1:], axis1=1, axis2=2).imag
+    if euler:
+        # theta_{m+1} = theta_m - 2i tr(sigma_{m+1}), summed in step order
+        increments = 2.0 * np.trace(sigmas[1:], axis1=1, axis2=2).imag
+    else:
+        increments = -2.0 * np.angle(np.linalg.slogdet(dens)[0])
     theta = np.cumsum(np.concatenate([[det_phase(u0.mat)], increments]))
     circle = float(np.max(np.abs(np.exp(1j * theta) - np.linalg.det(us))))
     if circle > CIRCLE_CONSISTENCY:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maslovflow import (
+    ConfigError,
     StructureError,
     SymmetricChart,
     UnitarySymmetric,
@@ -19,6 +20,7 @@ from maslovflow import (
     poschl_teller_field,
     rotated_coefficients,
     run_trace,
+    sweep_lambda,
     sym_eig,
     unitary_from_frame,
     validate_coefficients,
@@ -278,23 +280,40 @@ class TestIntegrateUnitary:
         assert len(seen) == 2 and seen[0] is cpath.theta and seen[1] is upath.theta
 
 
-def _unitary_per_step(field, lam, grid, u0):
-    """Reference unitary path one step at a time: the scalar field
-    evaluation, rotated coefficients, the Euler step and the defect gate of
-    every sample, reading the gate's bounds from ``unitary_mod`` as
-    ``integrate_unitary`` does.  Returns the path arrays, the re-projected
-    steps and the largest unitarity and symmetry defects."""
+def _unitary_per_step(field, lam, grid, u0, scheme="euler"):
+    """Reference unitary path one step at a time, with the defect gate of
+    every sample read from ``unitary_mod`` as ``integrate_unitary`` reads it.
+
+    An Euler step takes the scalar field evaluation, the rotated
+    coefficients and one Lie-algebra step; a Moebius step takes one
+    propagator, the maps P, Q, R, S written out from their formulas and one
+    Moebius apply.  Returns the path arrays (``sigmas`` None on the Moebius
+    scheme), the re-projected steps and the largest unitarity and symmetry
+    defects."""
+    n = field.n
     u, us, sigmas = u0.mat, [u0.mat], [np.zeros_like(u0.mat)]
     theta = [det_phase(u0.mat)]
     reprojected, max_u, max_s = [], 0.0, 0.0
     for m in range(grid.size - 1):
         h = grid[m + 1] - grid[m]
-        c_rot, d_rot = rotated_coefficients(field.evaluate(grid[m], lam))
-        xi = d_rot - 0.5 * (u @ np.conj(c_rot) - c_rot @ u.conj().T)
-        sigma = h * (0.5 * (xi - xi.conj().T))
-        e = mat_exp(sigma)
-        u = e @ u @ e.T
-        u_defect = float(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))))
+        if scheme == "euler":
+            c_rot, d_rot = rotated_coefficients(field.evaluate(grid[m], lam))
+            xi = d_rot - 0.5 * (u @ np.conj(c_rot) - c_rot @ u.conj().T)
+            sigma = h * (0.5 * (xi - xi.conj().T))
+            e = mat_exp(sigma)
+            u = e @ u @ e.T
+            sigmas.append(sigma)
+            dtheta = 2.0 * float(np.imag(np.trace(sigma)))
+        else:
+            phi = mat_exp(h * field.evaluate(grid[m] + 0.5 * h, lam).full())
+            a, b, c, d = phi[:n, :n], phi[:n, n:], phi[n:, :n], phi[n:, n:]
+            mob = 0.5 * np.block([
+                [(a + 1j * c) - 1j * (b + 1j * d), (a + 1j * c) + 1j * (b + 1j * d)],
+                [(a - 1j * c) - 1j * (b - 1j * d), (a - 1j * c) + 1j * (b - 1j * d)]])
+            w = mob[:, n:] @ u + mob[:, :n]
+            u = np.linalg.solve(w[:n].T, w[n:].T).T
+            dtheta = -2.0 * float(np.angle(np.linalg.slogdet(w[:n])[0]))
+        u_defect = float(np.max(np.abs(u @ u.conj().T - np.eye(n))))
         s_defect = float(np.max(np.abs(u - u.T)))
         if not (u_defect <= unitary_mod.UNITARY_TYPE and s_defect <= unitary_mod.UNITARY_TYPE):
             raise StructureError(f"step {m} left the unitary symmetric matrices: "
@@ -303,10 +322,10 @@ def _unitary_per_step(field, lam, grid, u0):
         if max(u_defect, s_defect) > unitary_mod.REPROJECT_DEFECT:
             u = _polar_symmetric_project(u)
             reprojected.append(m)
-        theta.append(theta[-1] + 2.0 * float(np.imag(np.trace(sigma))))
+        theta.append(theta[-1] + dtheta)
         us.append(u)
-        sigmas.append(sigma)
-    return np.array(us), np.array(sigmas), np.array(theta), reprojected, max_u, max_s
+    sigmas = np.array(sigmas) if scheme == "euler" else None
+    return np.array(us), sigmas, np.array(theta), reprojected, max_u, max_s
 
 
 def _start(field, lam):
@@ -322,7 +341,7 @@ class TestBlockedUnitary:
     def _assert_same(path, reference):
         us, sigmas, theta, reprojected, max_u, max_s = reference
         assert np.array_equal(path.us, us)
-        assert np.array_equal(path.sigmas, sigmas)
+        assert (path.sigmas is None and sigmas is None) or np.array_equal(path.sigmas, sigmas)
         assert np.array_equal(path.theta, theta)
         assert path.reprojected_steps == len(reprojected)
         assert path.max_unitarity_defect == max_u
@@ -389,6 +408,119 @@ class TestBlockedUnitary:
         message = f"step {bad} left the unitary symmetric matrices: unitarity nan, symmetry nan"
         with pytest.raises(StructureError, match=message):
             integrate_unitary(field, 0.1, grid, u0)
+
+
+class TestMoebiusScheme:
+    """integrate_unitary(..., scheme="moebius"): u stepped by the linear
+    fractional map of the chart route's propagators, theta by
+    -2 arg det(P + Q u)."""
+
+    @pytest.mark.parametrize("npoints", [2, BLOCK_STEPS + 1, BLOCK_STEPS + 2, 2 * BLOCK_STEPS + 89])
+    @pytest.mark.parametrize("name, lam", [("kdv7", 0.1), ("poschl_teller:2", -0.5)])
+    def test_grid_lengths_across_blocks(self, name, lam, npoints):
+        field = get_model(name)
+        grid = -3.0 + 0.01 * np.arange(npoints)
+        u0 = _start(field, lam)
+        TestBlockedUnitary._assert_same(integrate_unitary(field, lam, grid, u0, scheme="moebius"),
+                                        _unitary_per_step(field, lam, grid, u0, "moebius"))
+
+    @pytest.mark.parametrize("name, lam, bound", [
+        ("kdv7", 0.1, 5e-16), ("kdv7", 0.1, 2e-15), ("poschl_teller:2", -0.5, 0.0)])
+    def test_reprojected_steps_replayed(self, monkeypatch, name, lam, bound):
+        field = get_model(name)
+        grid = -3.0 + 0.01 * np.arange(2 * BLOCK_STEPS + 89)
+        u0 = _start(field, lam)
+        monkeypatch.setattr(unitary_mod, "REPROJECT_DEFECT", bound)
+        reference = _unitary_per_step(field, lam, grid, u0, "moebius")
+        TestBlockedUnitary._assert_same(
+            integrate_unitary(field, lam, grid, u0, scheme="moebius"), reference)
+        assert reference[1] is None and 0 < len(reference[3]) < grid.size - 1
+
+    def test_circle_and_drift(self):
+        field = kdv7_field()
+        grid = np.linspace(-20, 20, 10_001)
+        for lam in (0.12, 0.15):
+            path = integrate_unitary(field, lam, grid, _start(field, lam), scheme="moebius")
+            assert path.max_circle_defect < 1e-10
+            assert np.max(np.abs(np.exp(1j * path.theta) - np.linalg.det(path.us))) \
+                == path.max_circle_defect
+            assert max(path.max_unitarity_defect, path.max_symmetry_defect) < 1e-11
+
+    def test_richardson_order_two(self):
+        # criterion 7's construction: slopes over h, h/2, h/4 against h/64
+        field = kdv7_field()
+        lam = 0.15
+        u0 = _start(field, lam)
+
+        def u_end(nsteps):
+            grid = np.linspace(-20.0, 20.0, nsteps + 1)
+            return integrate_unitary(field, lam, grid, u0, scheme="moebius").us[-1]
+
+        u_ref = u_end(64_000)
+        errors = np.array([np.max(np.abs(u_end(1000 * k) - u_ref)) for k in (1, 2, 4)])
+        assert np.all(np.log2(errors[:-1] / errors[1:]) >= 2.0)
+
+    @pytest.mark.parametrize("name, lam", [
+        ("kdv7", -0.1), ("kdv7", 0.05), ("kdv7", 0.12),
+        ("poschl_teller:2", -5.0), ("poschl_teller:2", -2.0), ("poschl_teller:2", -0.5)])
+    def test_count_and_angle_match_chart_route(self, name, lam):
+        field = get_model(name)
+        grid = np.linspace(field.x_minus, field.x_plus, 4001)
+        frame = farfield_frame(field.farfield_minus(lam), "unstable")
+        upath = integrate_unitary(field, lam, grid, unitary_from_frame(frame), scheme="moebius")
+        cpath = integrate_chart(field, lam, grid, chart_from_frame(frame))
+        assert upath.result.unsigned_count == cpath.result.unsigned_count
+        assert upath.result.signed_index == cpath.result.signed_index
+        assert abs(upath.theta[-1] - cpath.theta[-1]) < 1e-10
+
+    def test_kdv7_top_eigenvalue_counted_on_a_coarse_grid(self):
+        field = kdv7_field()
+        grid = np.linspace(-20.0, 20.0, 251)
+        u0 = _start(field, 0.12)
+        assert integrate_unitary(field, 0.12, grid, u0, scheme="moebius").result.unsigned_count == 3
+        assert integrate_unitary(field, 0.12, grid, u0).result.unsigned_count == 2
+
+    def test_unknown_scheme_refused(self):
+        field = kdv7_field()
+        with pytest.raises(ConfigError, match="scheme"):
+            integrate_unitary(field, 0.1, np.linspace(-20.0, 20.0, 11), _start(field, 0.1),
+                              scheme="rk4")
+
+    @pytest.mark.parametrize("bad", [0, BLOCK_STEPS - 1, BLOCK_STEPS + 40])
+    def test_non_finite_product_refused_where_made(self, monkeypatch, bad):
+        field = kdv7_field()
+        calls = []
+
+        def nan_at_bad_step(a, b):
+            calls.append(None)
+            x = solve(a, b)
+            return np.full_like(x, np.nan) if len(calls) == bad + 1 else x
+
+        solve = unitary_mod._solve
+        monkeypatch.setattr(unitary_mod, "_solve", nan_at_bad_step)
+        message = f"step {bad} left the unitary symmetric matrices: unitarity nan, symmetry nan"
+        with pytest.raises(StructureError, match=message):
+            integrate_unitary(field, 0.1, np.linspace(-20, 20, 1001), _start(field, 0.1),
+                              scheme="moebius")
+
+    def test_singular_denominator_fails_only_its_row(self, monkeypatch):
+        # the solve of the second row's step 122 fails: that row is an error
+        # naming the step, and the rows around it are counted
+        calls = []
+
+        def failing_solve(a, b):
+            calls.append(None)
+            if len(calls) == 800 + 123:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        solve = unitary_mod._solve
+        monkeypatch.setattr(unitary_mod, "_solve", failing_solve)
+        table = sweep_lambda("poschl_teller:2", np.array([-5.0, -2.0, -0.5]),
+                             np.linspace(-20.0, 20.0, 801), backend="unitary")
+        assert [r.status for r in table.rows] == ["ok", "error", "ok"]
+        assert table.rows[1].reason == "step 122: Moebius denominator P + Q u exactly singular"
+        assert [r.crossing_count for r in table.rows] == [0, -1, 2]
 
 
 def _wrapped(angle):
