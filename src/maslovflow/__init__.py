@@ -45,7 +45,6 @@ from .riccati import (
     SymmetricChart,
     integrate_chart,
     singular_eigenvalue_count,
-    singular_threshold,
 )
 from .system import (
     CoefficientField,

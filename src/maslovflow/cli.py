@@ -1,7 +1,8 @@
 """Command-line front end: trace, sweep, refine, selftest.
 
 Configuration precedence (lowest to highest): built-in defaults, --config
-JSON file, MASLOVFLOW_* environment variables, explicit flags.  All floats
+JSON file, MASLOVFLOW_* environment variables, explicit flags; an unknown
+config key or MASLOVFLOW_* variable and a non-finite number exit 2.  All floats
 are written with 17 significant digits so identical runs produce
 byte-identical files.
 
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -23,7 +25,7 @@ from .errors import BackendDisagreementError, ConfigError, MaslovError, ModelErr
 from .maslov import BACKENDS, refine_eigenvalue, run_trace, sweep_lambda
 from .models import ModelSpec, get_model
 from .selftest import run_selftest
-from .tolerances import CHART_TOL, check_chart_tol
+from .tolerances import CHART_TOL
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -45,7 +47,6 @@ _CONFIG_KEYS = {
     "out": str,
     "workers": int,
     "init": str,
-    "chart_tol": float,
     "tol_lambda": float,
 }
 
@@ -58,6 +59,16 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _finite(value: object, what: str) -> float | None:
+    """``value`` as a finite float; None when unset."""
+    if value is None:
+        return None
+    value = float(value)
+    if not math.isfinite(value):
+        raise ConfigError(f"{what} must be finite, got {value}")
+    return value
+
+
 def _parse_range(text: str, what: str) -> tuple[float, float]:
     parts = str(text).split(":")
     if len(parts) != 2:
@@ -66,8 +77,8 @@ def _parse_range(text: str, what: str) -> tuple[float, float]:
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError as exc:
         raise ConfigError(f"{what}: cannot parse {text!r} as numbers") from exc
-    if not lo < hi:
-        raise ConfigError(f"{what}: need lo < hi, got {lo} >= {hi}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ConfigError(f"{what}: need finite lo < hi, got {text!r}")
     return lo, hi
 
 
@@ -91,7 +102,6 @@ class RunConfig:
     out: str | None
     workers: int
     init: str
-    chart_tol: float
     tol_lambda: float
 
     @staticmethod
@@ -105,16 +115,15 @@ class RunConfig:
         workers = int(cfg["workers"])
         if workers < 1:
             raise ConfigError("workers must be >= 1")
-        chart_tol = float(cfg["chart_tol"])
-        check_chart_tol(chart_tol)
         tol_lambda = float(cfg["tol_lambda"])
         if tol_lambda <= 0:
             raise ConfigError("tol_lambda must be positive")
-        step = cfg.get("step")
-        if step is not None and float(step) <= 0:
+        lam = _finite(cfg.get("lam"), "lambda")
+        step = _finite(cfg.get("step"), "step")
+        lambda_step = _finite(cfg.get("lambda_step"), "lambda step")
+        if step is not None and step <= 0:
             raise ConfigError("step must be positive")
-        lambda_step = cfg.get("lambda_step")
-        if lambda_step is not None and float(lambda_step) <= 0:
+        if lambda_step is not None and lambda_step <= 0:
             raise ConfigError("lambda step must be positive")
         lambda_count = cfg.get("lambda_count")
         if lambda_count is not None and int(lambda_count) < 2:
@@ -122,17 +131,16 @@ class RunConfig:
         lambda_range = cfg.get("lambda_range")
         return RunConfig(
             model=cfg.get("model"),
-            lam=None if cfg.get("lam") is None else float(cfg["lam"]),
+            lam=lam,
             lambda_range=None if lambda_range is None else _parse_range(lambda_range, "lambda range"),
             lambda_count=None if lambda_count is None else int(lambda_count),
-            lambda_step=None if lambda_step is None else float(lambda_step),
+            lambda_step=lambda_step,
             x_range=_parse_range(cfg["x_range"], "x range"),
-            step=None if step is None else float(step),
+            step=step,
             backend=backend,
             out=cfg.get("out"),
             workers=workers,
             init=init,
-            chart_tol=chart_tol,
             tol_lambda=tol_lambda,
         )
 
@@ -161,7 +169,7 @@ class RunConfig:
 
     # kept for benchmark/probe.py, which passes it to get_model
     def tolerances(self) -> float:
-        return self.chart_tol
+        return CHART_TOL
 
     def require_model(self) -> ModelSpec:
         """The model named by ``model``, on the window ``x_range``."""
@@ -173,15 +181,10 @@ class RunConfig:
 
 
 _DEFAULTS = {
-    "lambda_count": None,
-    "lambda_step": None,
     "x_range": "-20:20",
-    "step": None,
     "backend": "both",
-    "out": None,
     "workers": 1,
     "init": "auto",
-    "chart_tol": CHART_TOL,
     "tol_lambda": 1e-3,
 }
 
@@ -202,6 +205,10 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             if key not in _CONFIG_KEYS:
                 raise ConfigError(f"config file {config_path}: unknown key {key!r}")
             merged[key] = value
+    known = {ENV_PREFIX + "CONFIG"} | {ENV_PREFIX + key.upper() for key in _CONFIG_KEYS}
+    unknown = sorted(name for name in os.environ if name.startswith(ENV_PREFIX) and name not in known)
+    if unknown:
+        raise ConfigError(f"unknown environment variable(s) {', '.join(unknown)}")
     for key, caster in _CONFIG_KEYS.items():
         env = os.environ.get(ENV_PREFIX + key.upper())
         if env is not None:
@@ -235,8 +242,7 @@ def cmd_trace(cfg: RunConfig) -> int:
     field = get_model(spec)
     grid = cfg.x_grid()
     lam = cfg.lam
-    trace = run_trace(field, lam, grid, backend=cfg.backend, init=cfg.init,
-                      chart_tol=cfg.chart_tol)
+    trace = run_trace(field, lam, grid, backend=cfg.backend, init=cfg.init)
 
     n = field.n
     have_chart = trace.chart_path is not None
@@ -255,7 +261,7 @@ def cmd_trace(cfg: RunConfig) -> int:
     # the table's columns as (rows, k) float arrays
     parts = [grid[:, None], trace.theta[:, None], det_col[:, None], phase_cols]
     if have_chart:
-        clip = 1.0 / cfg.chart_tol
+        clip = 1.0 / CHART_TOL
         parts.append(np.clip(trace.chart_path.mu, -clip, clip))
     row_fmt = ",".join(["%.17g"] * len(columns)) + "\n"
 
@@ -264,7 +270,7 @@ def cmd_trace(cfg: RunConfig) -> int:
         fh.write("# maslovflow trace; angles in radians; sign convention: a u-eigenphase "
                  "increasing through pi counts direction +1\n")
         fh.write(f"# model={cfg.model} lambda={_fmt(lam)} backend={cfg.backend} "
-                 f"init={trace.init_mode} chart_tol={_fmt(cfg.chart_tol)}\n")
+                 f"init={trace.init_mode} chart_tol={_fmt(CHART_TOL)}\n")
         fh.write(",".join(columns) + "\n")
         # a block at a time: the Python floats of the whole table would
         # raise peak memory by several MB on a long trace
@@ -284,8 +290,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     spec = cfg.require_model()
     lambdas = cfg.lambda_grid()
     grid = cfg.x_grid()
-    table = sweep_lambda(spec, lambdas, grid, backend=cfg.backend,
-                         workers=cfg.workers, chart_tol=cfg.chart_tol)
+    table = sweep_lambda(spec, lambdas, grid, backend=cfg.backend, workers=cfg.workers)
 
     out_path = cfg.out or f"sweep_{spec.name.replace(':', '_')}.csv"
     with _open_out(out_path) as fh:
@@ -342,7 +347,7 @@ def cmd_refine(cfg: RunConfig) -> int:
         raise ConfigError("refine needs --lambda-range lo:hi as the bracket")
     lo, hi = cfg.lambda_range
     result = refine_eigenvalue(spec, lo, hi, cfg.x_grid(), tol_lambda=cfg.tol_lambda,
-                               backend=cfg.backend, chart_tol=cfg.chart_tol)
+                               backend=cfg.backend)
     payload = {
         "lambda_star": result.lam_star,
         "bracket": [result.bracket_lo, result.bracket_hi],
@@ -360,7 +365,7 @@ def cmd_refine(cfg: RunConfig) -> int:
 
 
 def cmd_selftest(cfg: RunConfig) -> int:
-    reports = run_selftest(chart_tol=cfg.chart_tol)
+    reports = run_selftest()
     for report in reports:
         print(report.line())
     if all(r.passed for r in reports):
@@ -399,8 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--init", type=str, default=None,
                        choices=("auto", "farfield", "identity"),
                        help="initial plane for trace (default auto)")
-        p.add_argument("--chart-tol", dest="chart_tol", type=float, default=None,
-                       help="singularity detection angle on the circle, in (0, pi) (default 1e-3)")
         p.add_argument("--tol-lambda", dest="tol_lambda", type=float, default=None,
                        help="bisection width for refine (default 1e-3)")
         p.add_argument("--config", type=str, default=None, help="JSON config file")

@@ -26,7 +26,7 @@ from .errors import (
 from .models import ModelSpec, get_model
 from .riccati import ChartPath, CrossingRecord, MaslovResult, SymmetricChart, integrate_chart
 from .system import CoefficientField, LagrangianFrame, chart_from_frame, farfield_frame
-from .tolerances import CHART_TOL, END_FLAG_ANGLE, check_chart_tol
+from .tolerances import CHART_TOL, END_FLAG_ANGLE
 from .unitary import UnitaryPath, UnitarySymmetric, cayley, integrate_unitary, unitary_from_frame
 
 __all__ = [
@@ -65,12 +65,11 @@ def _end_of_interval_flag(
     end_phases: np.ndarray,
     u_end: np.ndarray,
     u_ref: np.ndarray | None,
-    chart_tol: float,
 ) -> tuple[bool, int]:
     """Asymptotic-intersection flag for the right end of the window.
 
     Fires when the run is truncation-sensitive: a crossing sits within one
-    step of x_plus, the final plane is within ``chart_tol`` of the train
+    step of x_plus, the final plane is within ``CHART_TOL`` of the train
     (an eigenphase ``end_phases`` of u_end near pi, i.e. a huge chart
     eigenvalue at the end), or the final plane intersects the far-field
     reference plane within ``END_FLAG_ANGLE``.  Near-exact spectral
@@ -79,7 +78,7 @@ def _end_of_interval_flag(
     """
     h = float(grid[-1] - grid[-2])
     edge_crossing = any(c.x > grid[-1] - 1.5 * h for c in crossings)
-    near_train = bool(np.min(np.abs(np.abs(end_phases) - np.pi)) < chart_tol)
+    near_train = bool(np.min(np.abs(np.abs(end_phases) - np.pi)) < CHART_TOL)
     end_dim = 0
     if u_ref is not None:
         end_dim = end_intersection_dimension(u_end, u_ref)
@@ -146,7 +145,6 @@ def _run_row(
     grid: np.ndarray,
     backend: str,
     ends: tuple[LagrangianFrame | None, str, np.ndarray | None],
-    chart_tol: float,
 ) -> TraceResult:
     """The per-lambda core behind traces, sweep rows and refine probes.
 
@@ -161,7 +159,7 @@ def _run_row(
     u_path: UnitaryPath | None = None
     if backend != "unitary":
         s0 = SymmetricChart(np.zeros((n, n))) if frame0 is None else chart_from_frame(frame0)
-        chart_path = integrate_chart(field, lam, grid, s0, chart_tol)
+        chart_path = integrate_chart(field, lam, grid, s0)
     if backend != "chart":
         u0 = UnitarySymmetric(np.eye(n, dtype=complex)) if frame0 is None else unitary_from_frame(frame0)
         u_path = integrate_unitary(field, lam, grid, u0, scheme="moebius")
@@ -170,7 +168,7 @@ def _run_row(
     else:
         path, u_end = u_path, u_path.us[-1]
     end_flag, end_dim = _end_of_interval_flag(path.result.crossings, grid, path.phases[-1],
-                                              u_end, u_ref, chart_tol)
+                                              u_end, u_ref)
     return TraceResult(lam=lam, grid=grid, backend=backend, init_mode=init_mode,
                        theta=path.theta, unitary_path=u_path, chart_path=chart_path,
                        result=path.result, end_flag=end_flag, end_dimension=end_dim,
@@ -184,7 +182,6 @@ def run_trace(
     grid: np.ndarray,
     backend: str = "unitary",
     init: str = "auto",
-    chart_tol: float = CHART_TOL,
 ) -> TraceResult:
     """Integrate one lambda with the requested backend(s) and detect
     crossings against the standard reference plane.
@@ -200,9 +197,8 @@ def run_trace(
         raise ConfigError(f"backend must be one of {BACKENDS}, got {backend!r}")
     if init not in ("auto", "farfield", "identity"):
         raise ConfigError(f"init must be auto|farfield|identity, got {init!r}")
-    check_chart_tol(chart_tol)
     grid = np.asarray(grid, dtype=float)
-    trace = _run_row(field, lam, grid, backend, _far_field_ends(field, lam, init), chart_tol)
+    trace = _run_row(field, lam, grid, backend, _far_field_ends(field, lam, init))
     if backend == "both" and trace.count_chart != trace.count_unitary:
         raise BackendDisagreementError(
             f"backend disagreement at lambda={lam}: chart counts {trace.count_chart}, "
@@ -251,8 +247,7 @@ def _failed_row(lam: float, status: str, reason: str) -> SweepRow:
                     crossing_count=-1, end_flag=False)
 
 
-def _sweep_row(field: CoefficientField, lam: float, grid: np.ndarray, backend: str,
-               chart_tol: float) -> SweepRow:
+def _sweep_row(field: CoefficientField, lam: float, grid: np.ndarray, backend: str) -> SweepRow:
     """One sweep row or refine probe: the core from both far fields.
 
     A lambda outside the method's domain (a far field not hyperbolic, or a
@@ -264,7 +259,7 @@ def _sweep_row(field: CoefficientField, lam: float, grid: np.ndarray, backend: s
     except (HyperbolicityError, StructureError) as exc:
         return _failed_row(lam, "skipped", str(exc))
     try:
-        trace = _run_row(field, lam, grid, backend, ends, chart_tol)
+        trace = _run_row(field, lam, grid, backend, ends)
     except ChartDomainError as exc:
         return _failed_row(lam, "skipped", str(exc))
     status, reason = "ok", ""
@@ -279,12 +274,12 @@ def _sweep_row(field: CoefficientField, lam: float, grid: np.ndarray, backend: s
 def _sweep_chunk(job: tuple) -> list[SweepRow]:
     """Rows for a chunk of lambdas on one field; a row whose integration
     fails numerically gets status "error" and the reason."""
-    spec, lambdas, grid, backend, chart_tol = job
+    spec, lambdas, grid, backend = job
     field = get_model(spec)
     rows = []
     for lam in lambdas:
         try:
-            rows.append(_sweep_row(field, float(lam), grid, backend, chart_tol))
+            rows.append(_sweep_row(field, float(lam), grid, backend))
         except (StepSizeError, StructureError) as exc:
             rows.append(_failed_row(float(lam), "error", str(exc)))
     return rows
@@ -296,7 +291,6 @@ def sweep_lambda(
     x_grid: np.ndarray,
     backend: str = "both",
     workers: int = 1,
-    chart_tol: float = CHART_TOL,
 ) -> SweepTable:
     """Integrate every lambda row and locate eigenvalues by count jumps.
 
@@ -309,7 +303,6 @@ def sweep_lambda(
     """
     if backend not in BACKENDS:
         raise ConfigError(f"backend must be one of {BACKENDS}, got {backend!r}")
-    check_chart_tol(chart_tol)
     spec = ModelSpec.parse(model) if isinstance(model, str) else model
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     if lambda_grid.ndim != 1 or lambda_grid.size == 0:
@@ -319,8 +312,7 @@ def sweep_lambda(
     x_grid = np.asarray(x_grid, dtype=float)
 
     n_chunks = min(lambda_grid.size, 4 * workers) if workers > 1 else 1
-    jobs = [(spec, chunk, x_grid, backend, chart_tol)
-            for chunk in np.array_split(lambda_grid, n_chunks)]
+    jobs = [(spec, chunk, x_grid, backend) for chunk in np.array_split(lambda_grid, n_chunks)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_sweep_chunk, jobs))
@@ -358,7 +350,6 @@ def refine_eigenvalue(
     x_grid: np.ndarray,
     tol_lambda: float = 1e-3,
     backend: str = "unitary",
-    chart_tol: float = CHART_TOL,
 ) -> RefineResult:
     """Bisect a lambda bracket on the crossing-count jump.
 
@@ -376,12 +367,11 @@ def refine_eigenvalue(
         raise ConfigError("need lam_lo < lam_hi")
     if not tol_lambda > 0:
         raise ConfigError(f"tol_lambda must be positive, got {tol_lambda}")
-    check_chart_tol(chart_tol)
     field = get_model(spec)
     x_grid = np.asarray(x_grid, dtype=float)
 
     def count_at(lam: float) -> int:
-        row = _sweep_row(field, lam, x_grid, backend, chart_tol)
+        row = _sweep_row(field, lam, x_grid, backend)
         if row.status == "skipped":
             raise HyperbolicityError(f"lambda={lam}: {row.reason}")
         if row.status == "disagree":

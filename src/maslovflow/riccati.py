@@ -18,7 +18,7 @@ import numpy as np
 from .errors import StepSizeError, StructureError
 from .matrixkit import _solve, mat_exp, symmetrize
 from .system import CoefficientField
-from .tolerances import CHART_TOL, PHASE_MATCH_REJECT, check_chart_tol
+from .tolerances import CHART_TOL, PHASE_MATCH_REJECT, SINGULAR_MU
 
 # Steps whose state-independent work (field evaluation, propagators) is done
 # together; bounded so the stacks stay small on any grid.
@@ -31,7 +31,6 @@ __all__ = [
     "ChartPath",
     "integrate_chart",
     "singular_eigenvalue_count",
-    "singular_threshold",
 ]
 
 
@@ -228,23 +227,14 @@ def _mobius_apply(s: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, float, fl
     return symmetrize(s_new), cond, defect, float(np.linalg.slogdet(den)[0])
 
 
-def singular_threshold(chart_tol: float) -> float:
-    """|mu| above which an eigenvalue counts as singular: cot(chart_tol/2)."""
-    return 1.0 / np.tan(0.5 * chart_tol)
-
-
-def singular_eigenvalue_count(
-    s: SymmetricChart,
-    chart_tol: float = CHART_TOL,
-) -> int:
-    """Number of eigenvalues of Cay(s) within ``chart_tol`` of -1 on the
-    circle, i.e. eigenvalues of s with |mu| > cot(chart_tol / 2).
+def singular_eigenvalue_count(s: SymmetricChart) -> int:
+    """Number of eigenvalues of Cay(s) within ``CHART_TOL`` of -1 on the
+    circle, i.e. eigenvalues of s with |mu| > ``SINGULAR_MU``.
 
     Equals the rank loss of q for the frame the chart represents.
     """
-    check_chart_tol(chart_tol)
     mu = np.linalg.eigvalsh(s.mat)
-    return int(np.sum(np.abs(mu) > singular_threshold(chart_tol)))
+    return int(np.sum(np.abs(mu) > SINGULAR_MU))
 
 
 def _propagators(field: CoefficientField, x_lo: np.ndarray, x_hi: np.ndarray,
@@ -260,7 +250,6 @@ def integrate_chart(
     lam: float,
     grid: np.ndarray,
     s0: SymmetricChart,
-    chart_tol: float = CHART_TOL,
 ) -> ChartPath:
     """Integrate the chart flow over ``grid`` with midpoint-frozen
     exponential propagators applied through the Moebius action.
@@ -272,7 +261,7 @@ def integrate_chart(
     propagators' top rows (``_mobius_scale``); the smallest singular values
     of all denominators follow the loop as one stack.  The integration
     proceeds through chart singularities; samples where the Moebius
-    denominator condition exceeds ``1 / chart_tol`` are flagged.  If a
+    denominator condition exceeds ``1 / CHART_TOL`` are flagged.  If a
     denominator is exactly singular (the solve fails) the step is retried as
     two half steps (the singular set is isolated), the sample flagged and
     the product of the two denominator signs recorded.
@@ -280,7 +269,6 @@ def integrate_chart(
     order, ``_check_theta_steps`` and the phase and parity gates of
     ``_count_steps``, which gives the path its crossings.
     """
-    check_chart_tol(chart_tol)
     grid = field.check_grid(grid)
     if s0.n != field.n:
         raise StructureError("initial chart dimension disagrees with field")
@@ -327,7 +315,7 @@ def integrate_chart(
     den_signs = np.linalg.slogdet(dens)[0]
     for m, (c, d, sign) in halved.items():
         cond[m], defects[m], den_signs[m] = c, d, sign
-    flag = cond > 1.0 / chart_tol
+    flag = cond > 1.0 / CHART_TOL
     flag[list(halved)] = True
     flagged = tuple(int(m) + 1 for m in np.flatnonzero(flag))
 

@@ -17,7 +17,7 @@ from .matrixkit import det_phase, sym_arctan, symmetrize
 from .models import get_model
 from .riccati import SymmetricChart, singular_eigenvalue_count
 from .system import LagrangianFrame, chart_from_frame, farfield_frame, total_frame_rank_loss
-from .tolerances import CHART_TOL, RANK_THRESHOLD, check_chart_tol
+from .tolerances import RANK_THRESHOLD
 from .unitary import UnitarySymmetric, cayley, integrate_unitary, unitary_from_frame
 
 __all__ = [
@@ -49,23 +49,23 @@ class PropertyReport:
         return f"{status}  {self.name}: max defect {self.max_defect:.3e} (bound {self.bound:.1e}){extra}"
 
 
-def planted_rank_loss_frame(
-    n: int,
-    k: int,
-    rng: np.random.Generator,
-    eps: float = 1e-9,
-) -> LagrangianFrame:
+_SEED = 20240611  # of run_selftest's random inputs
+_PLANTED_EPS = 1e-9  # distance from pi/2 of planted_rank_loss_frame's planted angles
+
+
+def planted_rank_loss_frame(n: int, k: int, rng: np.random.Generator) -> LagrangianFrame:
     """Lagrangian frame whose q block has exactly k singular values ~ eps.
 
     Built from the diagonal frame (cos a_j, sin a_j) with k angles at
-    pi/2 - eps, disguised by a symplectic map that stabilizes the standard
-    reference plane (so the planted intersection dimension is preserved) and
-    a random gauge.  Used by the Theorem-1 equivalence property.
+    pi/2 - eps, eps = ``_PLANTED_EPS``, disguised by a symplectic map that
+    stabilizes the standard reference plane (so the planted intersection
+    dimension is preserved) and a random gauge.  Used by the Theorem-1
+    equivalence property.
     """
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     angles = rng.uniform(0.15, 1.2, size=n)
-    angles[:k] = 0.5 * np.pi - eps
+    angles[:k] = 0.5 * np.pi - _PLANTED_EPS
     q0 = np.diag(np.cos(angles))
     p0 = np.diag(np.sin(angles))
     e_orth, _ = np.linalg.qr(rng.standard_normal((n, n)))
@@ -113,11 +113,7 @@ def check_unitarity_drift(bound: float) -> PropertyReport:
                           "kdv7 lambda=0.15, 1e4 steps, no re-projection")
 
 
-def check_theorem1(
-    rng: np.random.Generator,
-    bound: float,
-    chart_tol: float = CHART_TOL,
-) -> PropertyReport:
+def check_theorem1(rng: np.random.Generator, bound: float) -> PropertyReport:
     """Singular-eigenvalue count, rank loss of q and total-frame rank loss
     against the planted k on 50 frames from ``rng`` (n = 4, k = i mod 4);
     the defect is the number of frames where any count differs."""
@@ -127,7 +123,7 @@ def check_theorem1(
         k = i % 4
         frame = planted_rank_loss_frame(n, k, rng)
         chart = chart_from_frame(frame)
-        c_sing = singular_eigenvalue_count(chart, chart_tol)
+        c_sing = singular_eigenvalue_count(chart)
         c_rank = total_frame_rank_loss(frame)
         stacked = np.block([[frame.q, np.zeros((n, n))], [frame.p, np.eye(n)]])
         sv = np.linalg.svd(stacked, compute_uv=False)
@@ -138,7 +134,7 @@ def check_theorem1(
                           "singular-eigenvalue vs rank-loss counts, 50 planted frames")
 
 
-def _check_backend_agreement(bound: float, chart_tol: float) -> PropertyReport:
+def _check_backend_agreement(bound: float) -> PropertyReport:
     """The largest spread of the chart, Moebius and Euler counts on six rows.
 
     Under ``both`` the chart and Moebius routes are two coordinates of one
@@ -152,7 +148,7 @@ def _check_backend_agreement(bound: float, chart_tol: float) -> PropertyReport:
         for lam in lams:
             # the core's two counts, compared here rather than raised on
             ends = _far_field_ends(field, lam, "auto")
-            trace = _run_row(field, lam, grid, "both", ends, chart_tol)
+            trace = _run_row(field, lam, grid, "both", ends)
             u0 = UnitarySymmetric(trace.unitary_path.us[0])
             euler = integrate_unitary(field, lam, grid, u0, scheme="euler")
             counts = (trace.count_chart, trace.count_unitary, euler.result.unsigned_count)
@@ -202,18 +198,14 @@ _BOUNDS = {
 _ROUTE_CASES = (("poschl_teller:2", -2.0), ("kdv7", 0.15))
 
 
-def run_selftest(
-    chart_tol: float = CHART_TOL,
-    seed: int = 20240611,
-) -> list[PropertyReport]:
-    """Run the invariant suite; returns one report per property, in the
-    order of ``_BOUNDS``."""
-    check_chart_tol(chart_tol)
-    rng = np.random.default_rng(seed)
+def run_selftest() -> list[PropertyReport]:
+    """Run the invariant suite on inputs drawn from ``_SEED``; returns one
+    report per property, in the order of ``_BOUNDS``."""
+    rng = np.random.default_rng(_SEED)
     return [
         check_trace_formula(rng, _BOUNDS["trace_formula"]),
         check_unitarity_drift(_BOUNDS["unitarity_drift"]),
-        check_theorem1(rng, _BOUNDS["theorem1_equivalence"], chart_tol),
-        _check_backend_agreement(_BOUNDS["backend_agreement"], chart_tol),
+        check_theorem1(rng, _BOUNDS["theorem1_equivalence"]),
+        _check_backend_agreement(_BOUNDS["backend_agreement"]),
         check_route_agreement(_ROUTE_CASES, _BOUNDS["route_agreement"]),
     ]

@@ -1,14 +1,10 @@
 """Numerical thresholds.
 
-Every numerical gate in the package reads its threshold here.  Only
-``CHART_TOL`` can be set for a run (the CLI's ``--chart-tol``); functions
-whose result depends on it take ``chart_tol`` with this default and refuse
-a value outside (0, pi) through :func:`check_chart_tol`.
+Every numerical gate in the package reads its threshold here.  Each one is
+a constant: no run sets a threshold.
 """
 
 import math
-
-from .errors import ConfigError
 
 # max-norm bound on V^T V - I for eigenvector bases
 EIG_ORTHONORMALITY = 1e-12
@@ -32,8 +28,12 @@ COND_LIMIT = 1e12
 # relative pre-symmetrization defect allowed in charts
 CHART_SYMMETRY = 1e-8
 # angular radius (radians) around -1 on the unit circle inside which a Cayley
-# eigenvalue counts as singular; equivalently |mu| > cot(chart_tol / 2)
+# eigenvalue counts as singular, and the end flag's bound on a final eigenphase
+# near pi; 1 / CHART_TOL bounds the chart route's unflagged Moebius denominator
+# condition and the trace CSV's |mu|
 CHART_TOL = 1e-3
+# |mu| above which a chart eigenvalue counts as singular: cot(CHART_TOL / 2)
+SINGULAR_MU = 1.0 / math.tan(0.5 * CHART_TOL)
 # minimum |Re(eigenvalue)| for a hyperbolic far field
 HYPERBOLICITY = 1e-8
 # default far-field consistency tolerance for fields that do not declare their own
@@ -51,10 +51,3 @@ PHASE_MATCH_REJECT = 0.785398163397448  # pi/4
 # as intersecting the far-field reference plane
 END_FLAG_ANGLE = 1e-3
 
-
-def check_chart_tol(chart_tol: float) -> None:
-    """Refuse (``ConfigError``) a chart singularity angle outside (0, pi); at
-    pi and beyond cot(chart_tol / 2) <= 0 and every eigenvalue would count as
-    singular."""
-    if not 0.0 < chart_tol < math.pi:
-        raise ConfigError(f"chart_tol must lie in (0, pi), got {chart_tol}")

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import os
 
@@ -17,6 +19,7 @@ from maslovflow.cli import (
     _fmt,
     main,
 )
+import maslovflow.cli as cli
 import maslovflow.selftest as selftest
 from maslovflow.tolerances import CHART_TOL
 
@@ -237,7 +240,7 @@ class TestSweep:
         import maslovflow.cli as cli_mod
         from maslovflow.maslov import SweepRow, SweepTable
 
-        def fake_sweep(spec, lambdas, grid, backend="both", workers=1, chart_tol=None):
+        def fake_sweep(spec, lambdas, grid, backend="both", workers=1):
             rows = (SweepRow(lam=-2.0, status="disagree", reason="chart=1 unitary=2",
                              theta_end=0.0, crossing_count=2, end_flag=False),
                     SweepRow(lam=-1.0, status="ok", reason="", theta_end=0.0,
@@ -364,15 +367,49 @@ class TestConfigPrecedence:
         rows = [ln for ln in _read(out).splitlines() if not ln.startswith("#")][1:]
         assert len(rows) == 801
 
-    @pytest.mark.parametrize("chart_tol", ["0", "-1e-3", "3.1416", "4", "nan"])
-    def test_chart_tol_outside_zero_pi_exits_2(self, tmp_path, capsys, chart_tol):
-        # at pi and beyond cot(chart_tol / 2) <= 0 would flag every sample
-        rc = main(["trace", "--model", "poschl_teller:2", "--lambda=-5",
-                   f"--chart-tol={chart_tol}", "--step", "0.05",
-                   "--out", str(tmp_path / "t.csv")])
+    def test_chart_tol_is_no_setting(self, tmp_path, monkeypatch):
+        # the chart singularity angle is the constant tolerances.CHART_TOL:
+        # a flag, config key or variable that tries to set it is refused
+        out = tmp_path / "t.csv"
+        args = ["trace", "--model", "poschl_teller:2", "--lambda=-5", "--step", "0.05",
+                "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--chart-tol=1e-3"])
+        assert exc.value.code == EXIT_CONFIG
+        assert not out.exists()
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"chart_tol": 0.001}), encoding="utf-8")
+        assert main(args + ["--config", str(cfg)]) == EXIT_CONFIG
+        assert not out.exists()
+        monkeypatch.setenv("MASLOVFLOW_CHART_TOL", "0.001")
+        assert main(args) == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_unknown_env_variable_rejected(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("MASLOVFLOW_BAKEND", "chart")
+        out = tmp_path / "t.csv"
+        rc = main(["trace", "--model", "poschl_teller:2", "--lambda=-5", "--step", "0.05",
+                   "--out", str(out)])
         assert rc == EXIT_CONFIG
-        assert "chart_tol must lie in (0, pi)" in capsys.readouterr().err
-        assert not (tmp_path / "t.csv").exists()
+        assert "MASLOVFLOW_BAKEND" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["trace", "--model", "kdv7", "--lambda", "0.05", "--step", "nan"],
+        ["sweep", "--model", "kdv7", "--lambda-range=-0.3:0.1", "--lambda-step", "nan"],
+        ["trace", "--model", "poschl_teller:2", "--lambda", "nan"],
+        ["trace", "--model", "poschl_teller:2", "--lambda", "inf"],
+        ["sweep", "--model", "poschl_teller:2", "--lambda-range=-inf:-1", "--lambda-count", "3"],
+        ["refine", "--model", "poschl_teller:2", "--lambda-range=-inf:-3.5"],
+        ["sweep", "--model", "poschl_teller:2", "--lambda-range=-5:-1", "--lambda-count", "3",
+         "--x-range=-inf:20"],
+    ], ids=["trace-step-nan", "sweep-lambda-step-nan", "trace-lambda-nan", "trace-lambda-inf",
+            "sweep-lambda-range-inf", "refine-lambda-range-inf", "sweep-x-range-inf"])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, argv):
+        rc = main(argv + ["--out", str(tmp_path / "out.csv")])
+        assert rc == EXIT_CONFIG
+        assert "finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
@@ -380,3 +417,16 @@ class TestConfigPrecedence:
         rc = main(["trace", "--config", str(cfg), "--lambda", "0.0"])
         assert rc == EXIT_CONFIG
         assert "modle" in capsys.readouterr().err
+
+
+def test_each_setting_is_wired_in_all_three_places():
+    # a setting is a _CONFIG_KEYS key, a RunConfig field and an option of
+    # every subcommand; one missing from _CONFIG_KEYS would be dropped
+    # silently by _merge_config
+    keys = set(cli._CONFIG_KEYS)
+    assert {f.name for f in dataclasses.fields(cli.RunConfig)} == keys
+    assert set(cli._DEFAULTS) <= keys
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name, command in sub.choices.items():
+        assert {a.dest for a in command._actions} - {"help", "config"} == keys, name

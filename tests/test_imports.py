@@ -39,7 +39,7 @@ PUBLIC_NAMES = {
     "poschl_teller_field",
     # riccati
     "ChartPath", "CrossingRecord", "MaslovResult", "SymmetricChart", "integrate_chart",
-    "singular_eigenvalue_count", "singular_threshold",
+    "singular_eigenvalue_count",
     # system
     "CoefficientField", "LagrangianFrame", "SymplecticCoefficients", "chart_from_frame",
     "farfield_frame", "total_frame_rank_loss", "validate_coefficients",

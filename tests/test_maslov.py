@@ -19,7 +19,6 @@ from maslovflow import (
     integrate_unitary,
     refine_eigenvalue,
     run_trace,
-    singular_eigenvalue_count,
     sweep_lambda,
     validate_coefficients,
 )
@@ -31,8 +30,6 @@ from maslovflow.riccati import (
     _principal_phases,
     _unwound_theta,
 )
-from maslovflow.selftest import run_selftest
-from maslovflow.tolerances import CHART_TOL
 from conftest import constant_field
 from oracles import branch_passages
 
@@ -344,7 +341,7 @@ class TestRunTrace:
         grid = np.linspace(0.0, 1.0, 101)
         crossings = [CrossingRecord(x=0.995, multiplicity=1, direction=1)]
         u_end = np.eye(1, dtype=complex)
-        flag, _ = _end_of_interval_flag(crossings, grid, np.zeros(1), u_end, None, CHART_TOL)
+        flag, _ = _end_of_interval_flag(crossings, grid, np.zeros(1), u_end, None)
         assert flag
 
     def test_end_flag_fires_when_final_plane_hugs_train(self):
@@ -352,8 +349,7 @@ class TestRunTrace:
 
         grid = np.linspace(0.0, 1.0, 101)
         u_end = np.diag([np.exp(1j * (np.pi - 5e-4)), 1.0 + 0j])
-        flag, _ = _end_of_interval_flag([], grid, np.angle(np.diag(u_end)), u_end, None,
-                                        CHART_TOL)
+        flag, _ = _end_of_interval_flag([], grid, np.angle(np.diag(u_end)), u_end, None)
         assert flag
 
     def test_end_flag_quiet_away_from_eigenvalues(self):
@@ -430,10 +426,10 @@ class TestSweep:
         clean = sweep_lambda("poschl_teller:2", lam_grid, _grid(1001), backend="unitary")
         real = maslov_mod._sweep_row
 
-        def failing(field, lam, grid, backend, chart_tol):
+        def failing(field, lam, grid, backend):
             if lam == lam_grid[1]:
                 raise StepSizeError("forced")
-            return real(field, lam, grid, backend, chart_tol)
+            return real(field, lam, grid, backend)
 
         # a row that errors drops out, so its neighbours bracket the jump
         monkeypatch.setattr(maslov_mod, "_sweep_row", failing)
@@ -501,7 +497,7 @@ class TestRefine:
 
         probes = []
 
-        def instant(field, lam, grid, backend, chart_tol):
+        def instant(field, lam, grid, backend):
             probes.append(lam)
             if len(probes) > 200:
                 raise RuntimeError("still bisecting after 200 probes")
@@ -514,27 +510,6 @@ class TestRefine:
         for tol in (0.0, -1e-3, float("nan")):
             with pytest.raises(ConfigError, match="tol_lambda must be positive"):
                 refine_eigenvalue("poschl_teller:2", -4.5, -3.5, _grid(101), tol_lambda=tol)
-
-
-_PT2 = get_model("poschl_teller:2")
-_ZERO_CHART = SymmetricChart(np.zeros((1, 1)))
-_TAKES_CHART_TOL = {
-    "integrate_chart": lambda tol: integrate_chart(_PT2, -5.0, _grid(101), _ZERO_CHART, tol),
-    "singular_eigenvalue_count": lambda tol: singular_eigenvalue_count(_ZERO_CHART, tol),
-    "run_trace": lambda tol: run_trace(_PT2, -5.0, _grid(101), chart_tol=tol),
-    "sweep_lambda": lambda tol: sweep_lambda("poschl_teller:2", np.array([-5.0, -4.5]),
-                                             _grid(101), chart_tol=tol),
-    "refine_eigenvalue": lambda tol: refine_eigenvalue("poschl_teller:2", -4.5, -3.5,
-                                                       _grid(101), chart_tol=tol),
-    "run_selftest": lambda tol: run_selftest(chart_tol=tol),
-}
-
-
-@pytest.mark.parametrize("chart_tol", [0.0, np.pi, 4.0])
-@pytest.mark.parametrize("name", sorted(_TAKES_CHART_TOL))
-def test_chart_tol_outside_zero_pi_refused(name, chart_tol):
-    with pytest.raises(ConfigError, match=r"chart_tol must lie in \(0, pi\)"):
-        _TAKES_CHART_TOL[name](chart_tol)
 
 
 class TestEndIntersection:

@@ -11,12 +11,11 @@ from maslovflow import (
     mat_exp,
     poschl_teller_field,
     singular_eigenvalue_count,
-    singular_threshold,
     validate_coefficients,
 )
 from maslovflow.riccati import BLOCK_STEPS, _mobius_apply
 from maslovflow.selftest import planted_rank_loss_frame
-from maslovflow.tolerances import CHART_TOL
+from maslovflow.tolerances import CHART_TOL, SINGULAR_MU
 from conftest import constant_field, random_lagrangian_frame
 from oracles import (
     poschl_teller_potential,
@@ -147,7 +146,7 @@ class TestIntegrateChart:
         grid = np.linspace(-20, 20, 4001)
         s0 = chart_from_frame(farfield_frame(field.farfield_minus(-5.0), "unstable"))
         path = integrate_chart(field, -5.0, grid, s0)
-        assert not np.any(np.abs(path.mu) > singular_threshold(CHART_TOL))
+        assert not np.any(np.abs(path.mu) > SINGULAR_MU)
 
     def test_gauge_consistency_with_linear_frame_flow(self):
         field = poschl_teller_field(2)
@@ -199,7 +198,7 @@ class TestIntegrateChart:
         grid = np.linspace(0.0, np.pi, 101)  # grid[50] = pi/2 up to roundoff
         path = integrate_chart(field, 0.0, grid, SymmetricChart(np.zeros((1, 1))))
         assert 50 in path.flagged_samples
-        assert abs(path.mu[50, 0]) > singular_threshold(CHART_TOL)
+        assert abs(path.mu[50, 0]) > SINGULAR_MU
         # the halved step records the product of its two denominator signs
         assert path.den_signs[49] == -1 and np.all(np.delete(path.den_signs, 49) == 1)
         # and the flow still recovers: s(pi) = tan(pi) = 0
@@ -268,8 +267,11 @@ class TestSingularEigenvalueCount:
 
     def test_threshold_arithmetic(self):
         s = SymmetricChart(np.diag([1e9, 0.3, -2.0]))
-        assert singular_eigenvalue_count(s, 1e-3) == 1
-        assert singular_threshold(1e-3) > 1000.0
+        assert singular_eigenvalue_count(s) == 1
+        # cot(CHART_TOL / 2) ~ 2 / CHART_TOL
+        assert SINGULAR_MU == pytest.approx(2.0 / CHART_TOL, rel=1e-6)
+        edge = SymmetricChart(np.diag([1.001, -1.001, 0.999]) * SINGULAR_MU)
+        assert singular_eigenvalue_count(edge) == 2
 
     def test_planted_rank_loss_two(self, rng):
         frame = planted_rank_loss_frame(4, 2, rng)
