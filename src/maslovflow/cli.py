@@ -2,9 +2,9 @@
 
 Configuration precedence (lowest to highest): built-in defaults, --config
 JSON file, MASLOVFLOW_* environment variables, explicit flags; an unknown
-config key or MASLOVFLOW_* variable and a non-finite number exit 2.  All floats
-are written with 17 significant digits so identical runs produce
-byte-identical files.
+config key or MASLOVFLOW_* variable, a value of the wrong type and a
+non-finite number exit 2.  All floats are written with 17 significant digits
+so identical runs produce byte-identical files.
 
 Exit codes: 0 success, 2 configuration error, 3 backend disagreement,
 4 model error, 5 numerical failure.
@@ -35,21 +35,27 @@ EXIT_NUMERICAL = 5
 
 ENV_PREFIX = "MASLOVFLOW_"
 
-_CONFIG_KEYS = {
-    "model": str,
-    "lam": float,
-    "lambda_range": str,
-    "lambda_count": int,
-    "lambda_step": float,
-    "x_range": str,
-    "step": float,
-    "backend": str,
-    "out": str,
-    "workers": int,
-    "init": str,
-    "tol_lambda": float,
+# config key -> (flag, type, default, help); MASLOVFLOW_<KEY> sets the same
+# value, and every flag, variable and config-file value is read by _cast
+_SETTINGS = {
+    "model": ("--model", str, None, "model name: kdv7 or poschl_teller:m"),
+    "lam": ("--lambda", float, None, "single spectral parameter value"),
+    "lambda_range": ("--lambda-range", str, None,
+                     "lambda interval 'lo:hi' (use --lambda-range=-a:b for negatives)"),
+    "lambda_count": ("--lambda-count", int, None, "number of lambda grid points"),
+    "lambda_step": ("--lambda-step", float, None,
+                    "lambda grid spacing (alternative to --lambda-count)"),
+    "x_range": ("--x-range", str, "-20:20", "integration interval 'lo:hi' (default -20:20)"),
+    "step": ("--step", float, None, "x step size (default: span/4000)"),
+    "backend": ("--backend", str, "both",
+                "integration backend: chart, unitary or both (default both)"),
+    "out": ("--out", str, None, "output file path"),
+    "workers": ("--workers", int, 1, "parallel workers for sweep rows (default 1)"),
+    "tol_lambda": ("--tol-lambda", float, 1e-3, "bisection width for refine (default 1e-3)"),
 }
 
+# float64 points that fill a 47-bit (128 TiB) user address space
+_MAX_POINTS = 2**47 // 8
 
 # rows of the trace table formatted and written together
 _TRACE_BLOCK_ROWS = 256
@@ -59,18 +65,38 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _finite(value: object, what: str) -> float | None:
-    """``value`` as a finite float; None when unset."""
-    if value is None:
-        return None
-    value = float(value)
-    if not math.isfinite(value):
-        raise ConfigError(f"{what} must be finite, got {value}")
+def _cast(key: str, value: object, where: str) -> object:
+    """``value`` of setting ``key`` as the setting's type; ``where`` names
+    its source (a flag, a variable or a config file) in the error.
+
+    A string is parsed with the type. A JSON number is taken for a number
+    setting, and only an integral one for an int setting. A bool, null,
+    list or object is refused, and so is a non-finite float.
+    """
+    kind = _SETTINGS[key][1]
+    # type(), not isinstance(): a JSON bool is an int to isinstance
+    wrong = kind is str or type(value) not in (int, float) or kind is int and value % 1
+    if not isinstance(value, str) and wrong:
+        raise ConfigError(f"{where}: expected {kind.__name__}, got {type(value).__name__}")
+    try:
+        value = kind(value)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{where} must be finite, got {value}")
     return value
 
 
+def _count(points: float, what: str) -> int:
+    """``points`` rounded to a grid size, refusing one that no address
+    space can hold (an infinite one included)."""
+    if not points < _MAX_POINTS:
+        raise ConfigError(f"{what} of {_MAX_POINTS} or more points cannot be allocated")
+    return round(points)
+
+
 def _parse_range(text: str, what: str) -> tuple[float, float]:
-    parts = str(text).split(":")
+    parts = text.split(":")
     if len(parts) != 2:
         raise ConfigError(f"{what} must look like 'lo:hi', got {text!r}")
     try:
@@ -101,55 +127,37 @@ class RunConfig:
     backend: str
     out: str | None
     workers: int
-    init: str
     tol_lambda: float
 
     @staticmethod
     def from_mapping(cfg: dict) -> "RunConfig":
-        backend = str(cfg["backend"])
-        if backend not in BACKENDS:
-            raise ConfigError(f"backend: expected one of {BACKENDS}, got {backend!r}")
-        init = str(cfg["init"])
-        if init not in ("auto", "farfield", "identity"):
-            raise ConfigError(f"init: expected auto|farfield|identity, got {init!r}")
-        workers = int(cfg["workers"])
-        if workers < 1:
+        """Range-check the values ``_cast`` read, one per setting."""
+        if cfg["backend"] not in BACKENDS:
+            raise ConfigError(f"backend: expected one of {BACKENDS}, got {cfg['backend']!r}")
+        if cfg["workers"] < 1:
             raise ConfigError("workers must be >= 1")
-        tol_lambda = float(cfg["tol_lambda"])
-        if tol_lambda <= 0:
+        if cfg["tol_lambda"] <= 0:
             raise ConfigError("tol_lambda must be positive")
-        lam = _finite(cfg.get("lam"), "lambda")
-        step = _finite(cfg.get("step"), "step")
-        lambda_step = _finite(cfg.get("lambda_step"), "lambda step")
-        if step is not None and step <= 0:
+        if cfg["step"] is not None and cfg["step"] <= 0:
             raise ConfigError("step must be positive")
-        if lambda_step is not None and lambda_step <= 0:
+        if cfg["lambda_step"] is not None and cfg["lambda_step"] <= 0:
             raise ConfigError("lambda step must be positive")
-        lambda_count = cfg.get("lambda_count")
-        if lambda_count is not None and int(lambda_count) < 2:
+        if cfg["lambda_count"] is not None and cfg["lambda_count"] < 2:
             raise ConfigError("lambda grid needs at least 2 points")
-        lambda_range = cfg.get("lambda_range")
-        return RunConfig(
-            model=cfg.get("model"),
-            lam=lam,
-            lambda_range=None if lambda_range is None else _parse_range(lambda_range, "lambda range"),
-            lambda_count=None if lambda_count is None else int(lambda_count),
-            lambda_step=lambda_step,
-            x_range=_parse_range(cfg["x_range"], "x range"),
-            step=step,
-            backend=backend,
-            out=cfg.get("out"),
-            workers=workers,
-            init=init,
-            tol_lambda=tol_lambda,
-        )
+        lambda_range = cfg["lambda_range"]
+        return RunConfig(**{
+            **cfg,
+            "lambda_range": None if lambda_range is None else _parse_range(lambda_range,
+                                                                           "lambda range"),
+            "x_range": _parse_range(cfg["x_range"], "x range"),
+        })
 
     def x_grid(self) -> np.ndarray:
         x_lo, x_hi = self.x_range
         if self.step is None:
             nsteps = 4000
         else:
-            nsteps = int(round((x_hi - x_lo) / self.step))
+            nsteps = _count((x_hi - x_lo) / self.step, "x grid")
             if nsteps < 2:
                 raise ConfigError("x range shorter than two steps")
         return np.linspace(x_lo, x_hi, nsteps + 1)
@@ -162,10 +170,10 @@ class RunConfig:
         if count is None and self.lambda_step is None:
             raise ConfigError("need --lambda-count or --lambda-step for the lambda grid")
         if count is None:
-            count = int(round((hi - lo) / self.lambda_step)) + 1
+            count = _count((hi - lo) / self.lambda_step, "lambda grid") + 1
         if count < 2:
             raise ConfigError("lambda grid needs at least 2 points")
-        return np.linspace(lo, hi, count)
+        return np.linspace(lo, hi, _count(count, "lambda grid"))
 
     # kept for benchmark/probe.py, which passes it to get_model
     def tolerances(self) -> float:
@@ -180,46 +188,31 @@ class RunConfig:
         return ModelSpec(spec.name, {**spec.params, "x_minus": x_minus, "x_plus": x_plus})
 
 
-_DEFAULTS = {
-    "x_range": "-20:20",
-    "backend": "both",
-    "workers": 1,
-    "init": "auto",
-    "tol_lambda": 1e-3,
-}
-
-
 def _merge_config(args: argparse.Namespace) -> RunConfig:
-    """defaults < config file < environment < flags."""
-    merged = dict(_DEFAULTS)
+    """defaults < config file < environment < flags, each value read by ``_cast``."""
+    merged = {key: default for key, (_, _, default, _) in _SETTINGS.items()}
     config_path = getattr(args, "config", None) or os.environ.get(ENV_PREFIX + "CONFIG")
     if config_path:
         try:
             with open(config_path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"cannot read config file {config_path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"config file {config_path} must hold a JSON object")
         for key, value in data.items():
-            if key not in _CONFIG_KEYS:
+            if key not in _SETTINGS:
                 raise ConfigError(f"config file {config_path}: unknown key {key!r}")
-            merged[key] = value
-    known = {ENV_PREFIX + "CONFIG"} | {ENV_PREFIX + key.upper() for key in _CONFIG_KEYS}
+            merged[key] = _cast(key, value, f"config file {config_path}: {key}")
+    known = {ENV_PREFIX + "CONFIG"} | {ENV_PREFIX + key.upper() for key in _SETTINGS}
     unknown = sorted(name for name in os.environ if name.startswith(ENV_PREFIX) and name not in known)
     if unknown:
         raise ConfigError(f"unknown environment variable(s) {', '.join(unknown)}")
-    for key, caster in _CONFIG_KEYS.items():
-        env = os.environ.get(ENV_PREFIX + key.upper())
-        if env is not None:
-            try:
-                merged[key] = caster(env)
-            except ValueError as exc:
-                raise ConfigError(f"env {ENV_PREFIX + key.upper()}={env!r}: {exc}") from exc
-    for key in _CONFIG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
+    for key, (flag, *_) in _SETTINGS.items():
+        name = ENV_PREFIX + key.upper()
+        for value, where in ((os.environ.get(name), name), (getattr(args, key, None), flag)):
+            if value is not None:
+                merged[key] = _cast(key, value, where)
     return RunConfig.from_mapping(merged)
 
 
@@ -242,7 +235,7 @@ def cmd_trace(cfg: RunConfig) -> int:
     field = get_model(spec)
     grid = cfg.x_grid()
     lam = cfg.lam
-    trace = run_trace(field, lam, grid, backend=cfg.backend, init=cfg.init)
+    trace = run_trace(field, lam, grid, backend=cfg.backend)
 
     n = field.n
     have_chart = trace.chart_path is not None
@@ -382,30 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--model", type=str, default=None,
-                       help="model name: kdv7 or poschl_teller:m")
-        p.add_argument("--lambda", dest="lam", type=float, default=None,
-                       help="single spectral parameter value")
-        p.add_argument("--lambda-range", dest="lambda_range", type=str, default=None,
-                       help="lambda interval 'lo:hi' (use --lambda-range=-a:b for negatives)")
-        p.add_argument("--lambda-count", dest="lambda_count", type=int, default=None,
-                       help="number of lambda grid points")
-        p.add_argument("--lambda-step", dest="lambda_step", type=float, default=None,
-                       help="lambda grid spacing (alternative to --lambda-count)")
-        p.add_argument("--x-range", dest="x_range", type=str, default=None,
-                       help="integration interval 'lo:hi' (default -20:20)")
-        p.add_argument("--step", type=float, default=None,
-                       help="x step size (default: span/4000)")
-        p.add_argument("--backend", type=str, default=None, choices=BACKENDS,
-                       help="integration backend (default both)")
-        p.add_argument("--out", type=str, default=None, help="output file path")
-        p.add_argument("--workers", type=int, default=None,
-                       help="parallel workers for sweep rows (default 1)")
-        p.add_argument("--init", type=str, default=None,
-                       choices=("auto", "farfield", "identity"),
-                       help="initial plane for trace (default auto)")
-        p.add_argument("--tol-lambda", dest="tol_lambda", type=float, default=None,
-                       help="bisection width for refine (default 1e-3)")
+        # each value stays a string here: _merge_config reads it with _cast
+        for key, (flag, _, _, text) in _SETTINGS.items():
+            p.add_argument(flag, dest=key, default=None, help=text)
         p.add_argument("--config", type=str, default=None, help="JSON config file")
 
     for name, desc in (("trace", "integrate one lambda and dump per-sample data"),

@@ -112,31 +112,27 @@ class TraceResult:
 def _far_field_ends(
     field: CoefficientField,
     lam: float,
-    init: str,
-) -> tuple[LagrangianFrame | None, str, np.ndarray | None]:
-    """The far-field data a row starts and ends with: the start frame (None
-    for the identity plane u0 = I), the start used, and the unitary
+    fallback: bool,
+) -> tuple[LagrangianFrame | None, np.ndarray | None]:
+    """The far-field data a row starts and ends with: the unstable frame of
+    the left far field (None for the identity plane u0 = I) and the unitary
     representative of the right far field's stable plane (None if undefined).
 
-    "farfield" needs both far fields hyperbolic and raises otherwise; "auto"
-    falls back to the identity plane and to no end reference; "identity"
-    starts from the identity plane.
+    A far field that is not hyperbolic raises, unless ``fallback`` is set:
+    then the row starts from the identity plane and has no end reference.
     """
     frame0 = u_ref = None
-    init_mode = "identity"
-    if init != "identity":
-        try:
-            frame0 = farfield_frame(field.farfield_minus(lam), "unstable")
-            init_mode = "farfield"
-        except (HyperbolicityError, StructureError):
-            if init == "farfield":
-                raise
+    try:
+        frame0 = farfield_frame(field.farfield_minus(lam), "unstable")
+    except (HyperbolicityError, StructureError):
+        if not fallback:
+            raise
     try:
         u_ref = unitary_from_frame(farfield_frame(field.farfield_plus(lam), "stable")).mat
     except (HyperbolicityError, StructureError) as exc:
-        if init == "farfield":
+        if not fallback:
             raise type(exc)(f"right far field: {exc}") from exc
-    return frame0, init_mode, u_ref
+    return frame0, u_ref
 
 
 def _run_row(
@@ -144,7 +140,7 @@ def _run_row(
     lam: float,
     grid: np.ndarray,
     backend: str,
-    ends: tuple[LagrangianFrame | None, str, np.ndarray | None],
+    ends: tuple[LagrangianFrame | None, np.ndarray | None],
 ) -> TraceResult:
     """The per-lambda core behind traces, sweep rows and refine probes.
 
@@ -153,7 +149,7 @@ def _run_row(
     reads the crossings each path carries, and sets the end-of-interval
     flag.  Counts of both routes are returned, not compared.
     """
-    frame0, init_mode, u_ref = ends
+    frame0, u_ref = ends
     n = field.n
     chart_path: ChartPath | None = None
     u_path: UnitaryPath | None = None
@@ -169,6 +165,7 @@ def _run_row(
         path, u_end = u_path, u_path.us[-1]
     end_flag, end_dim = _end_of_interval_flag(path.result.crossings, grid, path.phases[-1],
                                               u_end, u_ref)
+    init_mode = "identity" if frame0 is None else "farfield"
     return TraceResult(lam=lam, grid=grid, backend=backend, init_mode=init_mode,
                        theta=path.theta, unitary_path=u_path, chart_path=chart_path,
                        result=path.result, end_flag=end_flag, end_dimension=end_dim,
@@ -181,24 +178,19 @@ def run_trace(
     lam: float,
     grid: np.ndarray,
     backend: str = "unitary",
-    init: str = "auto",
 ) -> TraceResult:
     """Integrate one lambda with the requested backend(s) and detect
     crossings against the standard reference plane.
 
-    ``init``: "farfield" starts from the unstable subspace of the left far
-    field and fails unless both far fields are hyperbolic; "identity" starts
-    from the horizontal plane u0 = I; "auto" tries the far field and falls
-    back to the identity plane, recording the fallback in ``init_mode``.
-    With ``backend="both"`` a chart/unitary count mismatch raises
-    ``BackendDisagreementError``.
+    The row starts from the unstable subspace of the left far field; where
+    that far field is not hyperbolic it starts from the horizontal plane
+    u0 = I instead, recorded in ``init_mode``.  With ``backend="both"`` a
+    chart/unitary count mismatch raises ``BackendDisagreementError``.
     """
     if backend not in BACKENDS:
         raise ConfigError(f"backend must be one of {BACKENDS}, got {backend!r}")
-    if init not in ("auto", "farfield", "identity"):
-        raise ConfigError(f"init must be auto|farfield|identity, got {init!r}")
     grid = np.asarray(grid, dtype=float)
-    trace = _run_row(field, lam, grid, backend, _far_field_ends(field, lam, init))
+    trace = _run_row(field, lam, grid, backend, _far_field_ends(field, lam, fallback=True))
     if backend == "both" and trace.count_chart != trace.count_unitary:
         raise BackendDisagreementError(
             f"backend disagreement at lambda={lam}: chart counts {trace.count_chart}, "
@@ -255,7 +247,7 @@ def _sweep_row(field: CoefficientField, lam: float, grid: np.ndarray, backend: s
     the integration propagate.
     """
     try:
-        ends = _far_field_ends(field, lam, "farfield")
+        ends = _far_field_ends(field, lam, fallback=False)
     except (HyperbolicityError, StructureError) as exc:
         return _failed_row(lam, "skipped", str(exc))
     try:
@@ -314,7 +306,8 @@ def sweep_lambda(
     n_chunks = min(lambda_grid.size, 4 * workers) if workers > 1 else 1
     jobs = [(spec, chunk, x_grid, backend) for chunk in np.array_split(lambda_grid, n_chunks)]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a fork-started pool launches all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             parts = list(pool.map(_sweep_chunk, jobs))
     else:
         parts = [_sweep_chunk(job) for job in jobs]

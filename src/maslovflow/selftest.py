@@ -147,7 +147,7 @@ def _check_backend_agreement(bound: float) -> PropertyReport:
         grid = np.linspace(field.x_minus, field.x_plus, 2001)
         for lam in lams:
             # the core's two counts, compared here rather than raised on
-            ends = _far_field_ends(field, lam, "auto")
+            ends = _far_field_ends(field, lam, fallback=True)
             trace = _run_row(field, lam, grid, "both", ends)
             u0 = UnitarySymmetric(trace.unitary_path.us[0])
             euler = integrate_unitary(field, lam, grid, u0, scheme="euler")

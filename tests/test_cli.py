@@ -418,15 +418,132 @@ class TestConfigPrecedence:
         assert rc == EXIT_CONFIG
         assert "modle" in capsys.readouterr().err
 
+    def test_init_is_no_setting(self, tmp_path, monkeypatch):
+        # a trace starts from the left far field and falls back to the
+        # identity plane; nothing selects another start
+        out = tmp_path / "t.csv"
+        args = ["trace", "--model", "poschl_teller:2", "--lambda=-5", "--step", "0.05",
+                "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--init=auto"])
+        assert exc.value.code == EXIT_CONFIG
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"init": "auto"}), encoding="utf-8")
+        assert main(args + ["--config", str(cfg)]) == EXIT_CONFIG
+        monkeypatch.setenv("MASLOVFLOW_INIT", "auto")
+        assert main(args) == EXIT_CONFIG
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("command, data", [
+        ("trace", {"step": "abc"}),
+        ("trace", {"workers": [1]}),
+        ("selftest", {"workers": [1]}),
+        ("trace", {"model": 5}),
+        ("trace", {"out": 1}),
+        ("sweep", {"lambda_count": 4.7}),
+        ("trace", {"step": True}),
+    ], ids=["step-text", "workers-list", "selftest-workers-list", "model-number", "out-number",
+            "lambda-count-fraction", "step-bool"])
+    def test_config_value_of_wrong_type_exits_2(self, tmp_path, monkeypatch, capsys,
+                                                command, data):
+        # each crashed with a traceback, ran 4 rows for 4.7 or took true as
+        # 1.0; {"out": 1} wrote the trace into fd 1 and closed it
+        monkeypatch.chdir(tmp_path)
+        flags = {"model": "poschl_teller:2", "lam": "-2", "lambda_range": "-5:-1",
+                 "lambda_count": "2", "step": "0.05"}
+        argv = [command]
+        if command != "selftest":
+            argv += [f"{cli._SETTINGS[key][0]}={value}"
+                     for key, value in flags.items() if key not in data]
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(data), encoding="utf-8")
+        assert main(argv + ["--config", str(cfg)]) == EXIT_CONFIG
+        assert next(iter(data)) in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
+        os.fstat(1)  # stdout is still open
+
+    @pytest.mark.parametrize("content", [
+        b"\xff{}",
+        b"[" * 100000 + b"]" * 100000,
+        b'{"step": 1' + b"0" * 5000 + b"}",
+    ], ids=["not-utf-8", "nested-too-deep", "integer-too-long"])
+    def test_unreadable_config_file_exits_2(self, tmp_path, capsys, content):
+        # each raised past the JSON decode-error catch: UnicodeDecodeError,
+        # RecursionError and the int digit-limit ValueError
+        cfg = tmp_path / "run.json"
+        cfg.write_bytes(content)
+        assert main(["selftest", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "cannot read config file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["trace", "--lambda", "-2", "--step", "5e-324"],
+        ["trace", "--lambda", "-2", "--step", "1e-13"],
+        ["sweep", "--lambda-range=-5:-1", "--lambda-step", "5e-324"],
+        ["sweep", "--lambda-range=-5:-1", "--lambda-count", "100000000000000"],
+        ["sweep", "--lambda-range=-5:-1", "--lambda-count", "1" + "0" * 400],
+        ["sweep", "--lambda-range=-5:-1", "--config", "count.json"],
+    ], ids=["step-subnormal", "step-1e-13", "lambda-step-subnormal", "lambda-count-1e14",
+            "lambda-count-1e400", "config-lambda-count-1e30"])
+    def test_grid_beyond_the_address_space_exits_2(self, tmp_path, monkeypatch, capsys, argv):
+        # every count here exceeds 2**47 bytes of float64 points, so the
+        # refusal is checked without allocating anything
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "count.json").write_text('{"lambda_count": 1e30}', encoding="utf-8")
+        rc = main(argv + ["--model", "poschl_teller:2", "--out", str(tmp_path / "o.csv")])
+        assert rc == EXIT_CONFIG
+        assert "cannot be allocated" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["count.json"]
+
 
 def test_each_setting_is_wired_in_all_three_places():
-    # a setting is a _CONFIG_KEYS key, a RunConfig field and an option of
-    # every subcommand; one missing from _CONFIG_KEYS would be dropped
-    # silently by _merge_config
-    keys = set(cli._CONFIG_KEYS)
+    # a setting is one _SETTINGS entry: a RunConfig field and, under the
+    # entry's flag, an option of every subcommand
+    keys = set(cli._SETTINGS)
     assert {f.name for f in dataclasses.fields(cli.RunConfig)} == keys
-    assert set(cli._DEFAULTS) <= keys
     parser = cli.build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     for name, command in sub.choices.items():
-        assert {a.dest for a in command._actions} - {"help", "config"} == keys, name
+        flags = {a.dest: a.option_strings for a in command._actions}
+        assert set(flags) - {"help", "config"} == keys, name
+        assert all(flags[key] == [entry[0]] for key, entry in cli._SETTINGS.items()), name
+
+
+# JSON values of every kind, nested ones included
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+def _merged_or_config_error(args):
+    """``_merge_config(args)``; a ConfigError is an answer too, any other
+    exception fails the caller.  No grid is built: a tiny generated step
+    would ask for gigabytes."""
+    try:
+        assert isinstance(cli._merge_config(args), cli.RunConfig)
+    except cli.ConfigError:
+        pass
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.dictionaries(st.sampled_from(sorted(cli._SETTINGS)), _JSON, min_size=1, max_size=3))
+@example({"step": 10**400})
+@example({"lambda_count": float("inf")})
+@example({"x_range": "1e999:2"})
+def test_any_config_file_value_is_read_or_refused(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "property.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    _merged_or_config_error(cli.build_parser().parse_args(["sweep", "--config", str(path)]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(cli._SETTINGS)),
+       st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00")))
+@example("lambda_count", "9" * 5000)
+@example("workers", "1.0")
+def test_any_environment_value_is_read_or_refused(key, text):
+    args = cli.build_parser().parse_args(["sweep"])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("MASLOVFLOW_" + key.upper(), text)
+        _merged_or_config_error(args)

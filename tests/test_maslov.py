@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from maslovflow import (
     ConfigError,
     CrossingRecord,
-    HyperbolicityError,
     ModelSpec,
     SymmetricChart,
     cayley,
@@ -330,10 +329,8 @@ class TestRunTrace:
 
     def test_identity_fallback_at_non_hyperbolic_lambda(self):
         field = get_model("poschl_teller:2")
-        trace = run_trace(field, 0.5, _grid(2001), backend="unitary", init="auto")
+        trace = run_trace(field, 0.5, _grid(2001), backend="unitary")
         assert trace.init_mode == "identity"
-        with pytest.raises(HyperbolicityError):
-            run_trace(field, 0.5, _grid(2001), backend="unitary", init="farfield")
 
     def test_end_flag_fires_for_edge_crossing(self):
         from maslovflow.maslov import _end_of_interval_flag
@@ -444,6 +441,34 @@ class TestSweep:
         t2 = sweep_lambda("poschl_teller:2", lam_grid, _grid(1001), backend="unitary", workers=4)
         assert t1.rows == t2.rows
         assert t1.detected_eigenvalues == t2.detected_eigenvalues
+
+    def test_pool_has_no_more_workers_than_chunks(self, monkeypatch):
+        # a fork-started pool launches every worker at its first submit, so
+        # 64 workers for 2 rows would fork 64 processes
+        import maslovflow.maslov as maslov_mod
+
+        opened = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(maslov_mod, "ProcessPoolExecutor", SerialPool)
+        lam_grid = np.array([-3.0, -2.0])
+        serial = sweep_lambda("poschl_teller:2", lam_grid, _grid(1001), backend="unitary")
+        table = sweep_lambda("poschl_teller:2", lam_grid, _grid(1001), backend="unitary",
+                             workers=64)
+        assert opened == [2]
+        assert table.rows == serial.rows
 
     def test_bad_lambda_grid_rejected(self):
         with pytest.raises(ConfigError):
