@@ -405,6 +405,10 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:
+        # the grid, or the path arrays a row keeps, one sample each
+        print(f"config error: cannot allocate; use a coarser --step ({exc})", file=sys.stderr)
+        return EXIT_CONFIG
     except ModelError as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return EXIT_MODEL

@@ -7,8 +7,6 @@ arrays; validated wrapper types live with the modules that own them.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
@@ -91,7 +89,6 @@ _THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
           13: 5.371920351148152e0}
 _DEGREES = (3, 5, 7, 9, 13)
 _THETA_BOUNDS = np.array([_THETA[d] for d in _DEGREES[:-1]])
-_DIRECT_DTYPES = (np.dtype(float), np.dtype(complex))
 
 
 def _raise_singular(err: str, flag: int) -> None:
@@ -109,24 +106,12 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return _umath_linalg.solve(a, b, signature=signature)
 
 
-@lru_cache(maxsize=None)
-def _pade_identities(n: int, dtype: np.dtype, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only pair (b_0 I, b_1 I) of the degree's Pade coefficients."""
-    b = _PADE_B[degree]
-    eye = np.eye(n, dtype=dtype)
-    pair = (b[0] * eye, b[1] * eye)
-    for m in pair:
-        m.flags.writeable = False
-    return pair
-
-
 def _pade_factors(a: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
     """Odd and even parts (u, v) of the diagonal Pade approximant of the
-    given degree, exp(a) ~ (v - u)^{-1} (v + u).  The identity terms
-    b_0 I and b_1 I come from ``_pade_identities``; multiplying by the
-    identity is exact, so they are the products formed in place."""
+    given degree, exp(a) ~ (v - u)^{-1} (v + u)."""
     b = _PADE_B[degree]
-    b0_eye, b1_eye = _pade_identities(a.shape[-1], a.dtype, degree)
+    eye = np.eye(a.shape[-1], dtype=a.dtype)
+    b0_eye, b1_eye = b[0] * eye, b[1] * eye
     a2 = a @ a
     if degree == 3:
         u = a @ (b[3] * a2 + b1_eye)
@@ -162,21 +147,11 @@ def mat_exp(m: np.ndarray) -> np.ndarray:
     Each matrix gets its own Pade degree from its 1-norm against the
     standard backward-error bound table (degrees 3/5/7/9/13); larger norms
     are scaled by 2^-s with s from ``||m||_1 / theta_13`` and squared back.
-    Every matrix of a stack comes out bit for bit as it would alone.  One
-    2-D float64 or complex128 matrix below degree 13 takes a direct path
-    (norm as a Python float, one Pade solve) with the same arithmetic and
-    the same bits as a stack of one.  Every Pade solve goes to LAPACK
-    through ``_solve``, as ``np.linalg.solve`` would, without its wrapper.
+    Every matrix of a stack comes out bit for bit as it would alone, and one
+    matrix as a stack of one.  Every Pade solve goes to LAPACK through
+    ``_solve``, as ``np.linalg.solve`` would, without its wrapper.
     """
     m = np.asarray(m)
-    if m.ndim == 2 and m.dtype in _DIRECT_DTYPES and m.shape[0] == m.shape[1] > 0:
-        # a NaN or inf entry makes the norm fail every comparison and falls
-        # through to the general path, which refuses it
-        norm = float(np.abs(m).sum(0).max())
-        for degree in _DEGREES[:-1]:
-            if norm <= _THETA[degree]:
-                u, v = _pade_factors(m, degree)
-                return _solve(v - u, v + u)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise StructureError(f"expected square matrices, got shape {m.shape}")
     if not np.isfinite(m).all():

@@ -89,10 +89,13 @@ class ChartPath:
     ``charts[m]`` is the exactly-symmetric chart at ``grid[m]``, ``mu[m]``
     its ascending eigenvalues, ``phases[m]`` the eigenphases -2 arctan(mu)
     of Cay(s) as ``_principal_phases`` orders them, and ``theta[m]`` the
-    unwound -2 tr arctan(s).
+    angle -2 tr arctan(s), its steps taken in [-2 pi, 2 pi) by
+    ``_unwound_theta``.
     ``den_signs[m]``, the sign of det of step m's Moebius denominator, is -1
-    when an odd number of eigenvalues of s passed infinity in the step.
-    ``result`` holds the path's crossings (``_count_steps``).
+    when an odd number of eigenvalues of s passed infinity in the step; it
+    picks each step's branch of the angle.
+    ``result`` holds the path's crossings (``_count_steps``, whose phase and
+    angle gates are the route's only step gates).
     ``flagged_samples`` marks grid indices where that denominator was
     ill-conditioned (chart singularity crossed nearby);
     ``max_symmetry_defect`` is the largest pre-symmetrization defect seen.
@@ -112,22 +115,13 @@ class ChartPath:
         return SymmetricChart(self.charts[i])
 
 
-def _check_theta_steps(theta: np.ndarray) -> None:
-    """Refuse (``StepSizeError``) an angle that moves by pi or more in one
-    step; both routes gate their angle here."""
-    worst = float(np.max(np.abs(np.diff(theta))))
-    if worst >= np.pi:
-        raise StepSizeError(f"theta moved {worst:.3f} >= pi in one step; refine the grid")
-
-
 def _principal_phases(phases: np.ndarray) -> np.ndarray:
     """Principal eigenphases (N, n) sorted along each row in (-pi, pi], with
     -pi taken as pi."""
     return np.sort(np.where(phases == -np.pi, np.pi, phases), axis=1)
 
 
-def _count_steps(grid: np.ndarray, phases: np.ndarray, theta: np.ndarray,
-                 den_signs: np.ndarray | None = None) -> MaslovResult:
+def _count_steps(grid: np.ndarray, phases: np.ndarray, theta: np.ndarray) -> MaslovResult:
     """Crossings of a path of either route from its sorted principal
     eigenphases (N, n) and its angle theta, the sum of the continuous
     eigenphases, once every step has passed the phase gates.
@@ -137,23 +131,23 @@ def _count_steps(grid: np.ndarray, phases: np.ndarray, theta: np.ndarray,
     sorted in (-pi, pi], the one consistent matching is a cyclic shift by k:
     phase i at sample m continues as phase (i + k) mod n at sample m + 1,
     lifted by 2 pi floor((i + k) / n).  A step is refused (``StepSizeError``)
-    when a matched phase moves more than ``PHASE_MATCH_REJECT`` or the
-    matched motions sum in absolute value to pi or more, beyond which an
-    unwound theta could pick another matching.  Given ``den_signs`` (chart
-    route), it is also refused when k has the other parity than the sign of
-    its Moebius denominator, which each eigenvalue of s passing infinity
-    flips: an unwound angle is blind to a net motion of pi or more.  A step
-    with k != 0 gives one record of multiplicity |k| and direction sign(k)
-    at the mean of the linearly interpolated passages of its wrapping pairs.
+    when a matched phase moves more than ``PHASE_MATCH_REJECT``, or when the
+    matched motions sum in absolute value, or the angle moves, by pi or
+    more.  The angle's motion is the matched motions' signed sum up to
+    roundoff, so its bound makes exact what the sum already bounds: the one
+    angle gate of both routes.  A step with k != 0 gives one record of multiplicity |k| and direction
+    sign(k) at the mean of the linearly interpolated passages of its
+    wrapping pairs.
     """
     n = phases.shape[1]
-    k = np.rint((np.diff(theta) - np.diff(phases.sum(axis=1))) / (2.0 * np.pi)).astype(int)
+    dtheta = np.diff(theta)
+    k = np.rint((dtheta - np.diff(phases.sum(axis=1))) / (2.0 * np.pi)).astype(int)
     shifted = np.arange(n) + k[:, None]
     wraps = shifted // n
     prev = phases[:-1]
     cur = np.take_along_axis(phases[1:], shifted % n, axis=1) + 2.0 * np.pi * wraps
     motion = np.abs(cur - prev)
-    worst, total = motion.max(axis=1), motion.sum(axis=1)
+    worst, total = motion.max(axis=1), np.maximum(motion.sum(axis=1), np.abs(dtheta))
     bad = np.flatnonzero((worst > PHASE_MATCH_REJECT) | (total >= np.pi))
     if bad.size:
         m = int(bad[0])
@@ -162,12 +156,6 @@ def _count_steps(grid: np.ndarray, phases: np.ndarray, theta: np.ndarray,
                                 f"step moved a phase by {worst[m]:.3f} rad")
         raise StepSizeError(f"phase tracking lost at sample {m + 1}: "
                             f"step moved the phases by {total[m]:.3f} rad in all, >= pi")
-    if den_signs is not None:
-        bad = np.flatnonzero((k % 2 == 1) != (den_signs < 0))
-        if bad.size:
-            m = int(bad[0])
-            raise StepSizeError(f"chart angle lost at sample {m + 1}: net passage count {k[m]} "
-                                "disagrees in parity with the Moebius denominator; refine the grid")
     records = []
     for m in np.flatnonzero(k):
         direction = int(np.sign(k[m]))
@@ -182,14 +170,23 @@ def _count_steps(grid: np.ndarray, phases: np.ndarray, theta: np.ndarray,
                         signed_index=sum(c.direction * c.multiplicity for c in records))
 
 
-def _unwound_theta(mu: np.ndarray) -> np.ndarray:
-    """The angle theta = -2 tr arctan(s) from the chart eigenvalues (N, n).
+def _unwound_theta(mu: np.ndarray, den_signs: np.ndarray) -> np.ndarray:
+    """The angle theta = -2 tr arctan(s) from the chart eigenvalues (N, n)
+    and the sign of det of each step's Moebius denominator (N - 1).
 
-    Each step's increment is wrapped into [-pi, pi), which undoes the 2 pi
-    branch jump of the raw formula when an eigenvalue of s passes infinity.
+    The raw formula jumps by 2 pi when an eigenvalue of s passes infinity,
+    which flips the denominator's sign.  Each step's increment is wrapped
+    into [-pi, pi); where the number of 2 pi wraps taken has the other
+    parity than the number of passages the sign shows, the increment moves
+    by 2 pi across zero.  So the increment lies in [-2 pi, 2 pi), the
+    window of -2 arg det of the unitary route's denominator.
     """
     base = -2.0 * np.sum(np.arctan(mu), axis=1)
-    delta = np.mod(np.diff(base) + np.pi, 2.0 * np.pi) - np.pi
+    raw = np.diff(base)
+    delta = np.mod(raw + np.pi, 2.0 * np.pi) - np.pi
+    odd = np.rint((raw - delta) / (2.0 * np.pi)) % 2 == 1
+    flip = odd != (den_signs < 0)
+    delta[flip] -= np.where(delta[flip] < 0.0, -2.0 * np.pi, 2.0 * np.pi)
     return base[0] + np.concatenate([[0.0], np.cumsum(delta)])
 
 
@@ -265,9 +262,10 @@ def integrate_chart(
     denominator is exactly singular (the solve fails) the step is retried as
     two half steps (the singular set is isolated), the sample flagged and
     the product of the two denominator signs recorded.
-    The angle is unwound from the chart eigenvalues.  Every step passes, in
-    order, ``_check_theta_steps`` and the phase and parity gates of
-    ``_count_steps``, which gives the path its crossings.
+    The angle is unwound from the chart eigenvalues on the branch the
+    denominator signs pick (``_unwound_theta``).  Every step passes the
+    phase and angle gates of ``_count_steps``, which gives the path its
+    crossings; the chart coordinate itself adds no gate.
     """
     grid = field.check_grid(grid)
     if s0.n != field.n:
@@ -320,8 +318,7 @@ def integrate_chart(
     flagged = tuple(int(m) + 1 for m in np.flatnonzero(flag))
 
     phases = _principal_phases(-2.0 * np.arctan(mu))
-    theta = _unwound_theta(mu)
-    _check_theta_steps(theta)
+    theta = _unwound_theta(mu, den_signs)
     return ChartPath(grid=grid, charts=charts, mu=mu, phases=phases, theta=theta,
-                     den_signs=den_signs, result=_count_steps(grid, phases, theta, den_signs),
+                     den_signs=den_signs, result=_count_steps(grid, phases, theta),
                      flagged_samples=flagged, max_symmetry_defect=float(defects.max()))

@@ -24,7 +24,6 @@ from .riccati import (
     BLOCK_STEPS,
     MaslovResult,
     SymmetricChart,
-    _check_theta_steps,
     _count_steps,
     _principal_phases,
     _propagators,
@@ -180,9 +179,9 @@ def integrate_unitary(
     The grid is checked by :meth:`CoefficientField.check_grid`.  Theta
     starts at the principal value of -i log det u0; the sampled path
     satisfies exp(i theta_m) = det u_m up to roundoff, and the worst circle
-    defect is recorded and gated.  Every step then passes, in order, ``_check_theta_steps``, the
-    bound ``U_JUMP_REJECT`` on the change of any entry of u, and the phase
-    gates of ``_count_steps``, which gives the path its crossings.
+    defect is recorded and gated.  Every step then passes, in order, the
+    bound ``U_JUMP_REJECT`` on the change of any entry of u and the phase
+    and angle gates of ``_count_steps``, which gives the path its crossings.
     """
     if scheme not in ("euler", "moebius"):
         raise ConfigError(f"scheme must be 'euler' or 'moebius', got {scheme!r}")
@@ -279,7 +278,6 @@ def integrate_unitary(
     if circle > CIRCLE_CONSISTENCY:
         raise StructureError(
             f"theta/determinant circle consistency broken: defect {circle:.3e}")
-    _check_theta_steps(theta)
     jump = float(np.max(np.abs(np.diff(us, axis=0))))
     if jump >= U_JUMP_REJECT:
         raise StepSizeError(

@@ -2,6 +2,11 @@ import argparse
 import dataclasses
 import json
 import os
+import resource
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +25,12 @@ from maslovflow.cli import (
     main,
 )
 import maslovflow.cli as cli
+import maslovflow.maslov as maslov_mod
 import maslovflow.selftest as selftest
 from maslovflow.tolerances import CHART_TOL
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _read(path):
@@ -493,6 +502,63 @@ class TestConfigPrecedence:
         assert rc == EXIT_CONFIG
         assert "cannot be allocated" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["count.json"]
+
+    def test_unallocatable_grid_exits_2(self, tmp_path):
+        # 4e12 points pass the address-space bound but not a 3 GiB address
+        # space, which a child process gets so that this one keeps its own
+        out = tmp_path / "t.csv"
+        env = {k: v for k, v in os.environ.items() if not k.startswith("MASLOVFLOW_")}
+        env.update(OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([str(SRC), env.get("PYTHONPATH", "")]))
+        limit = 3 * 2**30
+        proc = subprocess.run(
+            [sys.executable, "-m", "maslovflow.cli", "trace", "--model", "poschl_teller:2",
+             "--lambda=-2", "--step", "1e-11", "--out", str(out)],
+            capture_output=True, text=True, timeout=120, env=env,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert proc.returncode == EXIT_CONFIG
+        assert "cannot allocate; use a coarser --step" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["trace", "--lambda=-2"],
+        ["sweep", "--lambda-range=-5:-1", "--lambda-count", "2"],
+        ["refine", "--lambda-range=-5:-3.5"],
+    ], ids=["trace", "sweep", "refine"])
+    def test_unallocatable_path_arrays_exit_2(self, tmp_path, monkeypatch, capsys, argv):
+        # a grid that fits, and a row whose path arrays do not
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 1.00 TiB")
+
+        monkeypatch.setattr(maslov_mod, "integrate_unitary", no_memory)
+        out = tmp_path / "o.csv"
+        rc = main(argv + ["--model", "poschl_teller:2", "--backend", "unitary", "--step", "0.05",
+                          "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert "cannot allocate; use a coarser --step" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+def _readme_cli_commands():
+    """The ``maslovflow ...`` commands of README's CLI block, with ``\\``
+    continuations joined, as argument lists without the program name."""
+    text = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("maslovflow ")]
+
+
+def test_readme_cli_examples_parse(monkeypatch):
+    # every README example parses and merges with the current flags;
+    # nothing runs
+    for name in list(os.environ):
+        if name.startswith(cli.ENV_PREFIX):
+            monkeypatch.delenv(name)
+    commands = _readme_cli_commands()
+    assert [argv[0] for argv in commands] == ["trace", "sweep", "refine", "selftest"]
+    for argv in commands:
+        cli._merge_config(cli.build_parser().parse_args(argv))
 
 
 def test_each_setting_is_wired_in_all_three_places():

@@ -23,12 +23,8 @@ from maslovflow import (
 )
 from maslovflow.errors import BackendDisagreementError, StepSizeError, StructureError
 from maslovflow.maslov import SweepRow
-from maslovflow.riccati import (
-    _check_theta_steps,
-    _count_steps,
-    _principal_phases,
-    _unwound_theta,
-)
+import maslovflow.unitary as unitary_mod
+from maslovflow.riccati import _count_steps, _principal_phases, _unwound_theta
 from conftest import constant_field
 from oracles import branch_passages
 
@@ -132,18 +128,25 @@ class TestDetectCrossings:
         with pytest.raises(StepSizeError, match="moved the phases by 3.500 rad in all, >= pi"):
             _count_steps(np.arange(2.0), phases, phases.sum(axis=1))
 
-    def test_chart_step_moving_pi_in_net_refused(self):
+    def test_chart_step_moving_pi_in_net_refused(self, monkeypatch):
         # five phases each turning 0.7 per step, one of them passing pi in
-        # the first step: the net motion 3.5 >= pi aliases the unwound angle
-        # by -2 pi, and the parity of the Moebius denominator shows it
+        # the first step: the wrapped chart angle is 2 pi short, and the
+        # parity of the Moebius denominator moves it to the net motion 3.5,
+        # which the summed-motion gate refuses
         w = 0.35 * np.eye(5)
         field = constant_field(validate_coefficients(0 * w, w, -w, 0 * w), 0.0, 10.0)
         s0 = SymmetricChart(np.diag(-np.tan(0.5 * np.array([-2.463, -1.207, 0.05, 1.307, 2.563]))))
         grid = np.linspace(0.0, 10.0, 11)
-        with pytest.raises(StepSizeError, match="chart angle lost at sample 1: net passage count 0"):
+        message = "lost at sample 1: step moved the phases by 3.500 rad in all, >= pi"
+        with pytest.raises(StepSizeError, match=message):
             integrate_chart(field, 0.0, grid, s0)
-        with pytest.raises(StepSizeError, match="theta moved 3.500 >= pi"):
+        with pytest.raises(StepSizeError, match="u samples differ by 0.686"):
             integrate_unitary(field, 0.0, grid, cayley(s0))
+        # past its own u-jump gate the unitary route meets the same refusal
+        with monkeypatch.context() as patch:
+            patch.setattr(unitary_mod, "U_JUMP_REJECT", 2.0)
+            with pytest.raises(StepSizeError, match=message):
+                integrate_unitary(field, 0.0, grid, cayley(s0))
         # ten times finer, both routes count the six passages
         grid = np.linspace(0.0, 10.0, 101)
         result = integrate_chart(field, 0.0, grid, s0).result
@@ -186,17 +189,17 @@ def _count_exact(branches, v):
 
 def _count_unwound(branches, v):
     """The chart route's gates and count on s = V diag(-tan(branches / 2))
-    V^T, with the angle the chart path unwinds from its eigenvalues and the
-    denominator sign of each step, -1 where the branches pass pi an odd
-    number of times; returns the phases, the angle and the count."""
+    V^T, with the angle the chart path unwinds from its eigenvalues on the
+    branch the denominator sign of each step picks, -1 where the branches
+    pass pi an odd number of times; returns the phases, the angle and the
+    count."""
     grid = np.linspace(0.0, 1.0, branches.shape[0])
     charts = np.einsum("ij,mj,kj->mik", v, -np.tan(0.5 * branches), v)
     mu = np.linalg.eigvalsh(charts)
     up, down = branch_passages(branches)
     signs = np.where((up + down) % 2 == 1, -1.0, 1.0)
-    phases, theta = _principal_phases(-2.0 * np.arctan(mu)), _unwound_theta(mu)
-    _check_theta_steps(theta)
-    return phases, theta, _count_steps(grid, phases, theta, signs)
+    phases, theta = _principal_phases(-2.0 * np.arctan(mu)), _unwound_theta(mu, signs)
+    return phases, theta, _count_steps(grid, phases, theta)
 
 
 def _assert_winding(phases, theta, result):
@@ -280,7 +283,7 @@ def turning_combs(draw):
 @PROPERTY_SETTINGS
 @given(path=turning_combs())
 def test_unwound_angle_refuses_or_counts_right_below_3pi(path):
-    # the denominator parity shows the angle 2 pi short
+    # the denominator parity moves the angle off the branch 2 pi short
     try:
         result = _count_unwound(*path)
     except StepSizeError:

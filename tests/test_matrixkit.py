@@ -6,13 +6,7 @@ from numpy.linalg import _umath_linalg
 from scipy.linalg import expm as scipy_expm
 
 from maslovflow import StructureError, det_phase, mat_exp, sym_arctan, sym_eig
-from maslovflow.matrixkit import (
-    _PADE_B,
-    _pade_identities,
-    _solve,
-    as_real_symmetric,
-    symmetrize,
-)
+from maslovflow.matrixkit import _solve, as_real_symmetric, symmetrize
 from oracles import eig2x2_quadratic
 
 
@@ -147,8 +141,7 @@ class TestMatExpStack:
                     mat_exp(m)
 
     def test_single_matrix_same_bits_as_stack_of_one(self, rng):
-        # one 2-D float64 or complex128 matrix takes the direct path below
-        # degree 13; other dtypes and layouts must give the same bits
+        # one matrix of any dtype or layout gives the bits of a stack of one
         for norm in self.NORMS:
             for k in (1, 3, 6):
                 for complex_entries in (False, True):
@@ -211,18 +204,6 @@ class TestSolve:
                 _solve(a, np.ones((a.shape[0], 1), dtype=a.dtype))
             with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
                 np.linalg.solve(a, np.ones((a.shape[0], 1), dtype=a.dtype))
-
-
-@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-def test_pade_identities_are_the_identity_products(dtype):
-    # multiplying by the identity is exact: the cached pair holds the bits
-    # (signs of zeros included) of b_0 I and b_1 I formed in place
-    for degree, b in _PADE_B.items():
-        for n in (1, 3, 6):
-            pair = _pade_identities(n, np.dtype(dtype), degree)
-            for coeff, m in zip(b[:2], pair):
-                assert m.dtype == dtype and not m.flags.writeable
-                assert m.tobytes() == (coeff * np.eye(n, dtype=dtype)).tobytes()
 
 
 class TestSymArctan:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from maslovflow import (
@@ -29,7 +29,7 @@ from maslovflow.errors import StepSizeError
 from maslovflow.matrixkit import symmetrize
 import maslovflow.riccati as riccati_mod
 import maslovflow.unitary as unitary_mod
-from maslovflow.riccati import BLOCK_STEPS, _check_theta_steps, _principal_phases
+from maslovflow.riccati import BLOCK_STEPS, _count_steps, _principal_phases
 from maslovflow.tolerances import CIRCLE_CONSISTENCY, REPROJECT_DEFECT
 from maslovflow.unitary import _polar_symmetric_project
 from conftest import constant_field, random_lagrangian_frame
@@ -258,22 +258,23 @@ class TestIntegrateUnitary:
             run_trace(field, -0.5, wide, backend="unitary")
 
     def test_angle_gate_shared_by_both_routes(self, monkeypatch):
-        message = "theta moved 4.000 >= pi in one step; refine the grid"
-        with pytest.raises(StepSizeError, match=message):
-            _check_theta_steps(np.array([0.0, 4.0]))
-        # a rotation field turning each of two phases by 2 w h = 2 per step:
-        # the exact angle moves by 4 and the unitary route refuses the step
+        # the summed-motion gate also bounds the angle's own step, which on
+        # a path of either route is the matched motions' signed sum up to
+        # roundoff
+        with pytest.raises(StepSizeError, match="moved the phases by 3.500 rad in all, >= pi"):
+            _count_steps(np.arange(2.0), np.array([[0.0], [0.5]]), np.array([0.0, 3.5]))
+        # both routes hand their angle to that gate: ten steps of a field
+        # turning each of two phases by 2 in all pass it
+        seen = []
+
+        def recording(grid, phases, theta):
+            seen.append(theta)
+            return _count_steps(grid, phases, theta)
+
+        monkeypatch.setattr(riccati_mod, "_count_steps", recording)
+        monkeypatch.setattr(unitary_mod, "_count_steps", recording)
         w = np.eye(2)
         field = constant_field(validate_coefficients(0 * w, w, -w, 0 * w), 0.0, 1.0)
-        grid = np.array([0.0, 1.0])
-        with pytest.raises(StepSizeError, match=message):
-            integrate_unitary(field, 0.0, grid, UnitarySymmetric(np.eye(2, dtype=complex)))
-        # the unwound chart angle moves by less than pi by construction, so
-        # show that the chart route hands its angle to the same gate; at ten
-        # steps the phase gate lets both routes through
-        seen = []
-        monkeypatch.setattr(riccati_mod, "_check_theta_steps", seen.append)
-        monkeypatch.setattr(unitary_mod, "_check_theta_steps", seen.append)
         grid = np.linspace(0.0, 1.0, 11)
         cpath = integrate_chart(field, 0.0, grid, SymmetricChart(np.zeros((2, 2))))
         upath = integrate_unitary(field, 0.0, grid, UnitarySymmetric(np.eye(2, dtype=complex)))
@@ -471,7 +472,7 @@ class TestMoebiusScheme:
         cpath = integrate_chart(field, lam, grid, chart_from_frame(frame))
         assert upath.result.unsigned_count == cpath.result.unsigned_count
         assert upath.result.signed_index == cpath.result.signed_index
-        assert abs(upath.theta[-1] - cpath.theta[-1]) < 1e-10
+        assert np.max(np.abs(upath.theta - cpath.theta)) < 1e-10
 
     def test_kdv7_top_eigenvalue_counted_on_a_coarse_grid(self):
         field = kdv7_field()
@@ -545,6 +546,39 @@ def test_paths_carry_eigenphases_and_angle_of_u(n, seed):
         expected = _principal_phases(np.angle(np.linalg.eigvals(us)))
         assert np.max(_wrapped(path.phases - expected)) < 1e-9
         assert np.max(_wrapped(path.theta - path.phases.sum(axis=1))) < 1e-8
+
+
+def _relative_error(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       h1=st.floats(0.01, 1.0), h2=st.floats(0.01, 1.0))
+def test_moebius_steps_compose(n, seed, h1, h2):
+    # stepping by the propagator Phi1 and then Phi2 is one step by Phi2 Phi1,
+    # for s under the chart route's Moebius action and for u under the maps
+    # _moebius_matrices gives; draws with an ill-conditioned denominator are
+    # dropped, since roundoff there swamps the identity
+    rng = np.random.default_rng(seed)
+    phi1, phi2 = (mat_exp(h * _random_coeffs(rng, n).full()) for h in (h1, h2))
+    s0 = symmetrize(rng.standard_normal((n, n)))
+
+    def chart_step(s, phi):
+        assume(np.linalg.cond(phi[:n, :n] + phi[:n, n:] @ s) <= 1e8)
+        return riccati_mod._mobius_apply(s, phi)[0]
+
+    def unitary_step(u, mob):
+        den, num = mob[:n, :n] + mob[:n, n:] @ u, mob[n:, :n] + mob[n:, n:] @ u
+        assume(np.linalg.cond(den) <= 1e8)
+        return np.linalg.solve(den.T, num.T).T
+
+    s21 = chart_step(s0, phi2 @ phi1)
+    assert _relative_error(chart_step(chart_step(s0, phi1), phi2), s21) < 1e-10
+    maps = unitary_mod._moebius_matrices(np.stack([phi1, phi2, phi2 @ phi1]))
+    u0 = cayley(SymmetricChart(s0)).mat
+    u21 = unitary_step(u0, maps[2])
+    assert _relative_error(unitary_step(unitary_step(u0, maps[0]), maps[1]), u21) < 1e-10
 
 
 class TestChartAngle:
