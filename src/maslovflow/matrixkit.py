@@ -8,6 +8,7 @@ arrays; validated wrapper types live with the modules that own them.
 from __future__ import annotations
 
 import numpy as np
+from numpy._core._ufunc_config import _extobj_contextvar, _make_extobj
 from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import StructureError
@@ -95,15 +96,24 @@ def _raise_singular(err: str, flag: int) -> None:
     raise LinAlgError("Singular matrix")
 
 
+# the error state np.linalg.solve runs its gufunc in, made once: an exactly
+# singular matrix sets "invalid", which raises LinAlgError
+_SOLVE_ERRSTATE = _make_extobj(call=_raise_singular, invalid="call",
+                               over="ignore", divide="ignore", under="ignore")
+
+
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``np.linalg.solve(a, b)`` for float64 or complex128 matrices (or
     stacks of them) without its Python wrapper: the same LAPACK gufunc,
     signature and error state, so the same bits, and an exactly singular
-    ``a`` raises the same ``LinAlgError("Singular matrix")``."""
+    ``a`` raises the same ``LinAlgError("Singular matrix")``.  The caller's
+    error state is restored on return and on the raise."""
     signature = "DD->D" if a.dtype.kind == "c" or b.dtype.kind == "c" else "dd->d"
-    with np.errstate(call=_raise_singular, invalid="call",
-                     over="ignore", divide="ignore", under="ignore"):
+    token = _extobj_contextvar.set(_SOLVE_ERRSTATE)
+    try:
         return _umath_linalg.solve(a, b, signature=signature)
+    finally:
+        _extobj_contextvar.reset(token)
 
 
 def _pade_factors(a: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:

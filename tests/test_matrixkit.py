@@ -205,6 +205,18 @@ class TestSolve:
             with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
                 np.linalg.solve(a, np.ones((a.shape[0], 1), dtype=a.dtype))
 
+    def test_caller_error_state_restored(self):
+        # _solve sets its own error state around the gufunc call; the
+        # caller's state holds after a solve and after a singular one
+        with np.errstate(all="warn", under="ignore"):
+            before = np.geterr()
+            _solve(np.eye(2), np.ones((2, 1)))
+            assert np.geterr() == before
+            with pytest.raises(np.linalg.LinAlgError):
+                _solve(np.zeros((1, 1), dtype=complex), np.ones((1, 1), dtype=complex))
+            assert np.geterr() == before
+            assert np.geterrcall() is None
+
 
 class TestSymArctan:
     def test_zero(self):

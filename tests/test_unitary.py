@@ -414,7 +414,41 @@ class TestBlockedUnitary:
 class TestMoebiusScheme:
     """integrate_unitary(..., scheme="moebius"): u stepped by the linear
     fractional map of the chart route's propagators, theta by
-    -2 arg det(P + Q u)."""
+    -2 arg det(P + Q u); each run of steps is one prefix scan of its maps."""
+
+    @staticmethod
+    def _assert_close(path, reference):
+        """The scanned path against the per-step reference: u within 1e-12,
+        theta within 1e-11 and the same crossings."""
+        us, sigmas, theta, _, _, _ = reference
+        assert path.sigmas is None and sigmas is None
+        assert np.max(np.abs(path.us - us)) <= 1e-12
+        assert np.max(np.abs(path.theta - theta)) <= 1e-11
+        expected = _count_steps(path.grid, _principal_phases(np.angle(np.linalg.eigvals(us))),
+                                theta)
+        got = path.result
+        assert (got.unsigned_count, got.signed_index) == \
+            (expected.unsigned_count, expected.signed_index)
+        assert [(c.multiplicity, c.direction) for c in got.crossings] == \
+            [(c.multiplicity, c.direction) for c in expected.crossings]
+        assert np.allclose([c.x for c in got.crossings], [c.x for c in expected.crossings],
+                           rtol=0.0, atol=1e-9)
+
+    @staticmethod
+    def _inject(monkeypatch, step, edit):
+        """Patch ``_moebius_matrices`` so that ``edit`` changes the map of
+        ``step``, counted over the blocks of all rows in call order."""
+        made = unitary_mod._moebius_matrices
+        calls = []
+
+        def injected(phis):
+            maps = made(phis)
+            calls.append(None)
+            if len(calls) == step // BLOCK_STEPS + 1:
+                edit(maps[step % BLOCK_STEPS])
+            return maps
+
+        monkeypatch.setattr(unitary_mod, "_moebius_matrices", injected)
 
     @pytest.mark.parametrize("npoints", [2, BLOCK_STEPS + 1, BLOCK_STEPS + 2, 2 * BLOCK_STEPS + 89])
     @pytest.mark.parametrize("name, lam", [("kdv7", 0.1), ("poschl_teller:2", -0.5)])
@@ -422,20 +456,29 @@ class TestMoebiusScheme:
         field = get_model(name)
         grid = -3.0 + 0.01 * np.arange(npoints)
         u0 = _start(field, lam)
-        TestBlockedUnitary._assert_same(integrate_unitary(field, lam, grid, u0, scheme="moebius"),
-                                        _unitary_per_step(field, lam, grid, u0, "moebius"))
+        path = integrate_unitary(field, lam, grid, u0, scheme="moebius")
+        reference = _unitary_per_step(field, lam, grid, u0, "moebius")
+        self._assert_close(path, reference)
+        assert path.reprojected_steps == len(reference[3])
 
     @pytest.mark.parametrize("name, lam, bound", [
         ("kdv7", 0.1, 5e-16), ("kdv7", 0.1, 2e-15), ("poschl_teller:2", -0.5, 0.0)])
     def test_reprojected_steps_replayed(self, monkeypatch, name, lam, bound):
+        # a re-projected step ends its run; the steps after it are scanned
+        # again from the re-projected sample
         field = get_model(name)
         grid = -3.0 + 0.01 * np.arange(2 * BLOCK_STEPS + 89)
         u0 = _start(field, lam)
         monkeypatch.setattr(unitary_mod, "REPROJECT_DEFECT", bound)
         reference = _unitary_per_step(field, lam, grid, u0, "moebius")
-        TestBlockedUnitary._assert_same(
-            integrate_unitary(field, lam, grid, u0, scheme="moebius"), reference)
+        path = integrate_unitary(field, lam, grid, u0, scheme="moebius")
         assert reference[1] is None and 0 < len(reference[3]) < grid.size - 1
+        if bound == 0.0:
+            # every run is one map: the path is the per-step one, bit for bit
+            TestBlockedUnitary._assert_same(path, reference)
+        else:
+            assert 0 < path.reprojected_steps < grid.size - 1
+            self._assert_close(path, reference)
 
     def test_circle_and_drift(self):
         field = kdv7_field()
@@ -489,39 +532,75 @@ class TestMoebiusScheme:
 
     @pytest.mark.parametrize("bad", [0, BLOCK_STEPS - 1, BLOCK_STEPS + 40])
     def test_non_finite_product_refused_where_made(self, monkeypatch, bad):
+        # a NaN map ends the run before it, so its product is measured alone
+        self._inject(monkeypatch, bad, lambda mob: mob.fill(np.nan))
         field = kdv7_field()
-        calls = []
-
-        def nan_at_bad_step(a, b):
-            calls.append(None)
-            x = solve(a, b)
-            return np.full_like(x, np.nan) if len(calls) == bad + 1 else x
-
-        solve = unitary_mod._solve
-        monkeypatch.setattr(unitary_mod, "_solve", nan_at_bad_step)
         message = f"step {bad} left the unitary symmetric matrices: unitarity nan, symmetry nan"
         with pytest.raises(StructureError, match=message):
             integrate_unitary(field, 0.1, np.linspace(-20, 20, 1001), _start(field, 0.1),
                               scheme="moebius")
 
     def test_singular_denominator_fails_only_its_row(self, monkeypatch):
-        # the solve of the second row's step 122 fails: that row is an error
-        # naming the step, and the rows around it are counted
-        calls = []
-
-        def failing_solve(a, b):
-            calls.append(None)
-            if len(calls) == 800 + 123:
-                raise np.linalg.LinAlgError("Singular matrix")
-            return solve(a, b)
-
-        solve = unitary_mod._solve
-        monkeypatch.setattr(unitary_mod, "_solve", failing_solve)
+        # the second row's step 122 has P = Q = 0 (each row makes 4 blocks),
+        # so its denominator is exactly singular: that row is an error naming
+        # the step, and the rows around it are counted
+        n = 1
+        self._inject(monkeypatch, 4 * BLOCK_STEPS + 122, lambda mob: mob[:n].fill(0.0))
         table = sweep_lambda("poschl_teller:2", np.array([-5.0, -2.0, -0.5]),
                              np.linspace(-20.0, 20.0, 801), backend="unitary")
         assert [r.status for r in table.rows] == ["ok", "error", "ok"]
         assert table.rows[1].reason == "step 122: Moebius denominator P + Q u exactly singular"
         assert [r.crossing_count for r in table.rows] == [0, -1, 2]
+
+    @pytest.mark.parametrize("name, lam, nsteps, limit", [
+        ("kdv7", 0.1, 4000, 100), ("poschl_teller:2", -1.0, 1000, 40)])
+    def test_runs_scanned_not_stepped(self, monkeypatch, name, lam, nsteps, limit):
+        # a structural guard: one solve per run, not one per step
+        solve = unitary_mod._solve
+        calls = []
+
+        def counting_solve(a, b):
+            calls.append(None)
+            return solve(a, b)
+
+        monkeypatch.setattr(unitary_mod, "_solve", counting_solve)
+        field = get_model(name)
+        integrate_unitary(field, lam, np.linspace(-20.0, 20.0, nsteps + 1), _start(field, lam),
+                          scheme="moebius")
+        assert 0 < len(calls) <= limit
+
+    @pytest.mark.parametrize("lam", [-0.3, -1.0])
+    def test_runs_end_before_roundoff_reaches_reprojection(self, lam):
+        # coarse kdv7 rows, where a block-long run's products would leave
+        # defects above REPROJECT_DEFECT: runs cut by the roundoff bound need
+        # no re-projection
+        field = kdv7_field()
+        path = integrate_unitary(field, lam, np.linspace(-20.0, 20.0, 1001), _start(field, lam),
+                                 scheme="moebius")
+        assert path.reprojected_steps == 0
+        assert max(path.max_unitarity_defect, path.max_symmetry_defect) < 0.1 * REPROJECT_DEFECT
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       nsteps=st.integers(BLOCK_STEPS - 16, 2 * BLOCK_STEPS + 16))
+def test_scanned_path_matches_per_step(n, seed, nsteps):
+    # a random constant sp(R^2n) field from a random start plane, on grids
+    # that straddle a block end: the scan makes the per-step path up to
+    # roundoff, with the same count, and the same bits on every call
+    rng = np.random.default_rng(seed)
+    field = constant_field(_random_coeffs(rng, n))
+    grid = np.linspace(0.0, 1.0, nsteps + 1)
+    u0 = unitary_from_frame(random_lagrangian_frame(rng, n))
+    path = integrate_unitary(field, 0.0, grid, u0, scheme="moebius")
+    us, _, theta, _, _, _ = _unitary_per_step(field, 0.0, grid, u0, "moebius")
+    assert np.max(np.abs(path.us - us)) <= 1e-11
+    assert np.max(np.abs(path.theta - theta)) <= 1e-11
+    expected = _count_steps(grid, _principal_phases(np.angle(np.linalg.eigvals(us))), theta)
+    assert path.result.unsigned_count == expected.unsigned_count
+    assert path.result.signed_index == expected.signed_index
+    again = integrate_unitary(field, 0.0, grid, u0, scheme="moebius")
+    assert np.array_equal(again.us, path.us) and np.array_equal(again.theta, path.theta)
 
 
 def _wrapped(angle):
