@@ -25,8 +25,9 @@ __all__ = [
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    """Return the exactly symmetric part (m + m^T)/2."""
-    return 0.5 * (m + m.T)
+    """Return the exactly symmetric part (m + m^T)/2 of a matrix or of each
+    matrix of a stack."""
+    return 0.5 * (m + m.swapaxes(-1, -2))
 
 
 def as_real_symmetric(m: np.ndarray) -> np.ndarray:

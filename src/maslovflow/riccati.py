@@ -1,12 +1,15 @@
-"""Riccati flow of the chart representative s = p q^{-1}, and the step gates
-and crossing count of both routes.
+"""Riccati flow of the chart representative s = p q^{-1}, and the Moebius
+march, step gates and crossing count of both routes.
 
 The linear flow generated by A = [[a, b], [c, d]] induces
 ``ds/dx = c + d s - s (a + b s)`` on the dense chart of symmetric matrices.
 Integration is done through the Moebius action of local fundamental
 solutions, which passes through chart singularities (points where an
-eigenvalue of s escapes to infinity) without special-casing.  Each
-integrator counts the path it makes once, with ``_count_steps``.
+eigenvalue of s escapes to infinity) without special-casing.  Linear
+fractional maps compose, so both routes march each run of steps by one
+prefix scan of its maps (``_moebius_run``), with runs ended by one roundoff
+rule (``_run_ends``).  Each integrator counts the path it makes once, with
+``_count_steps``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 from .errors import StepSizeError, StructureError
 from .matrixkit import _solve, mat_exp, symmetrize
 from .system import CoefficientField
-from .tolerances import CHART_TOL, PHASE_MATCH_REJECT, SINGULAR_MU
+from .tolerances import CHART_TOL, PHASE_MATCH_REJECT, REPROJECT_DEFECT, SINGULAR_MU
 
 # Steps whose state-independent work (field evaluation, propagators) is done
 # together; bounded so the stacks stay small on any grid.
@@ -98,7 +101,8 @@ class ChartPath:
     angle gates are the route's only step gates).
     ``flagged_samples`` marks grid indices where that denominator was
     ill-conditioned (chart singularity crossed nearby);
-    ``max_symmetry_defect`` is the largest pre-symmetrization defect seen.
+    ``max_symmetry_defect`` is the largest pre-symmetrization defect of the
+    samples as the scans solve them.
     """
 
     grid: np.ndarray
@@ -190,38 +194,45 @@ def _unwound_theta(mu: np.ndarray, den_signs: np.ndarray) -> np.ndarray:
     return base[0] + np.concatenate([[0.0], np.cumsum(delta)])
 
 
-def _mobius_scale(tops: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Scale of the Moebius inputs, ||[phi_11 phi_12]||_2 max(1, ||s||_2),
-    from the propagators' top block rows ``tops`` (..., n, 2n) and the
-    eigenvalues ``mu`` (..., n) of the symmetric charts s.
+def _run_ends(maps: np.ndarray, bound: float) -> list[int]:
+    """ends[i], the end of the run from map i of a block's maps (k, 2n, 2n):
+    the longest run whose roundoff bound eps prod (1 + ||M - I||_F)^2 stays
+    within ``bound`` (``REPROJECT_DEFECT`` on both routes), one map at least
+    (so every run is one map when ``bound`` is 0)."""
+    norms = np.linalg.norm(maps - np.eye(maps.shape[-1]), axis=(1, 2))
+    growth = np.concatenate([[0.0], np.cumsum(2.0 * np.log1p(norms))])
+    with np.errstate(divide="ignore"):
+        limit = np.log(bound / np.finfo(float).eps)
+    last = np.searchsorted(growth, growth[:-1] + limit, side="right") - 1
+    return np.maximum(np.arange(1, len(maps) + 1), last).tolist()
 
-    ||s||_2 is max |mu|; ||T||_2 is the square root of the largest
-    eigenvalue of T T^T.  One step and a stack of steps share this formula.
+
+def _moebius_run(maps: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The samples z_1, ..., z_k, unsymmetrized, that a run of maps
+    M_i = [[P_i, Q_i], [R_i, S_i]] (k, 2n, 2n) makes from z_0 = ``z`` under
+    z -> (R + S z)(P + Q z)^{-1}, by a prefix scan: s under the propagators
+    Phi, or u under ``unitary._moebius_matrices(Phi)``.
+
+    Hillis-Steele doubling makes the products T_j = M_j ... M_0 in
+    ceil(log2 k) stacked matmuls; then [X_j; Y_j] = T_j [I; z_0] and
+    z_{j+1} = Y_j X_j^{-1} in one stacked solve.  A run of one map is the
+    single step with the same operations.  X_j is the product of the
+    denominators P_i + Q_i z_i of steps i <= j, so when a solve is exactly
+    singular the first X_j whose slogdet sign is 0 names the first exactly
+    singular step j: only the j samples before it are returned.
     """
-    top_norms = np.sqrt(np.linalg.eigvalsh(tops @ tops.swapaxes(-1, -2))[..., -1])
-    return top_norms * np.maximum(1.0, np.abs(mu).max(-1))
-
-
-def _mobius_apply(s: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, float, float, float]:
-    """Apply the Moebius action; returns (new s, effective denominator
-    condition, pre-symmetrization defect, sign of det of the denominator).
-
-    The effective condition compares the smallest singular value of the
-    denominator against the scale of its inputs (``_mobius_scale``); the
-    plain condition number is blind to a uniformly tiny denominator (always
-    1 for n = 1).
-    """
-    n = s.shape[0]
-    num = phi[n:, :n] + phi[n:, n:] @ s
-    den = phi[:n, :n] + phi[:n, n:] @ s
-    sv_min = float(np.linalg.svd(den, compute_uv=False)[-1])
-    scale = float(_mobius_scale(phi[:n, :], np.linalg.eigvalsh(s)))
-    cond = np.inf if sv_min == 0.0 else scale / sv_min
-    if not np.isfinite(cond):
-        raise np.linalg.LinAlgError("Moebius denominator exactly singular")
-    s_new = _solve(den.T, num.T).T
-    defect = float(np.max(np.abs(s_new - s_new.T)))
-    return symmetrize(s_new), cond, defect, float(np.linalg.slogdet(den)[0])
+    n = z.shape[0]
+    prods, shift = maps, 1
+    while shift < len(prods):
+        prods = np.concatenate([prods[:shift], prods[shift:] @ prods[:-shift]])
+        shift *= 2
+    w = prods[:, :, n:] @ z + prods[:, :, :n]  # [X_j; Y_j]
+    dens, nums = w[:, :n].swapaxes(1, 2), w[:, n:].swapaxes(1, 2)
+    try:
+        return _solve(dens, nums).swapaxes(1, 2)
+    except np.linalg.LinAlgError:
+        j = int(np.flatnonzero(np.linalg.slogdet(dens)[0] == 0)[0])
+        return _solve(dens[:j], nums[:j]).swapaxes(1, 2)
 
 
 def singular_eigenvalue_count(s: SymmetricChart) -> int:
@@ -249,19 +260,23 @@ def integrate_chart(
     s0: SymmetricChart,
 ) -> ChartPath:
     """Integrate the chart flow over ``grid`` with midpoint-frozen
-    exponential propagators applied through the Moebius action.
+    exponential propagators applied through the Moebius action
+    s -> (C + D s)(A + B s)^{-1}.
 
     The propagators, which do not depend on the chart, are built
-    ``BLOCK_STEPS`` steps at a time; the step loop only solves for the next
-    chart.  Each block's new charts then get their eigenvalues ``mu`` at
-    once, and the denominator condition takes its scale from them and the
-    propagators' top rows (``_mobius_scale``); the smallest singular values
-    of all denominators follow the loop as one stack.  The integration
-    proceeds through chart singularities; samples where the Moebius
-    denominator condition exceeds ``1 / CHART_TOL`` are flagged.  If a
-    denominator is exactly singular (the solve fails) the step is retried as
-    two half steps (the singular set is isolated), the sample flagged and
-    the product of the two denominator signs recorded.
+    ``BLOCK_STEPS`` steps at a time, and each run of them (``_run_ends``)
+    is one prefix scan (``_moebius_run``) from the symmetrized last sample
+    of the run before; no loop over steps is left.  Each run's samples are
+    symmetrized as one stack; each block's get their eigenvalues ``mu`` as
+    one stack, and so do its step denominators A + B s_m: the sign of each
+    det, and the effective condition, the smallest singular value against
+    the scale of the inputs ||[A B]||_2 max(1, ||s_m||_2) (the plain
+    condition number is blind to a uniformly tiny denominator, always 1 for
+    n = 1).  The integration proceeds through chart singularities; samples
+    where that condition exceeds ``1 / CHART_TOL`` are flagged.  An exactly
+    singular step (``_moebius_run`` names it) is retried as two half steps
+    (the singular set is isolated), the sample flagged and the product of
+    the two denominator signs recorded.
     The angle is unwound from the chart eigenvalues on the branch the
     denominator signs pick (``_unwound_theta``).  Every step passes the
     phase and angle gates of ``_count_steps``, which gives the path its
@@ -277,42 +292,41 @@ def integrate_chart(
     charts[0] = s0.mat
     mu = np.empty((nsteps + 1, n))
     mu[0] = np.linalg.eigvalsh(s0.mat)
-    dens = np.empty((nsteps, n, n))
-    unsymmetrized = np.empty((nsteps, n, n))
-    scale = np.empty(nsteps)
-    halved: dict[int, tuple[float, float, float]] = {}  # step -> (condition, defect, sign)
-    s = s0.mat
+    cond = np.empty(nsteps)
+    den_signs = np.empty(nsteps)
+    halved: dict[int, float] = {}  # step -> product of its two halves' denominator signs
+    defect = 0.0
     for lo in range(0, nsteps, BLOCK_STEPS):
         hi = min(lo + BLOCK_STEPS, nsteps)
         phis = _propagators(field, grid[lo:hi], grid[lo + 1:hi + 1], lam)
-        for m, phi in enumerate(phis, start=lo):
-            num = phi[n:, :n] + phi[n:, n:] @ s
-            den = phi[:n, :n] + phi[:n, n:] @ s
-            try:
-                s_new = _solve(den.T, num.T).T
-            except np.linalg.LinAlgError:
-                # exactly singular sample: take one-sided substeps around it
-                x_mid = 0.5 * (grid[m] + grid[m + 1])
-                halves = _propagators(field, np.array([grid[m], x_mid]),
-                                      np.array([x_mid, grid[m + 1]]), lam)
-                s_half, c1, d1, sign1 = _mobius_apply(s, halves[0])
-                s_new, c2, d2, sign2 = _mobius_apply(s_half, halves[1])
-                halved[m] = (max(c1, c2), max(d1, d2), sign1 * sign2)
-            dens[m] = den
-            unsymmetrized[m] = s_new
-            s = symmetrize(s_new)
-            charts[m + 1] = s
+        ends = _run_ends(phis, REPROJECT_DEFECT)
+        start = lo
+        while start < hi:
+            made = _moebius_run(phis[start - lo:ends[start - lo]], charts[start])
+            if not len(made):
+                # exactly singular step: take one-sided substeps around it
+                edges = np.array([grid[start], grid[start:start + 2].mean(), grid[start + 1]])
+                halves = _propagators(field, edges[:-1], edges[1:], lam)
+                made = _moebius_run(halves, charts[start])
+                if len(made) < 2:
+                    raise np.linalg.LinAlgError("Moebius denominator exactly singular")
+                befores = np.stack([charts[start], symmetrize(made[0])])
+                dens = halves[:, :n, :n] + halves[:, :n, n:] @ befores
+                halved[start] = float(np.prod(np.linalg.slogdet(dens)[0]))
+                made = made[1:]
+            charts[start + 1:start + 1 + len(made)] = symmetrize(made)
+            defect = max(defect, float(np.abs(made - made.swapaxes(1, 2)).max()))
+            start += len(made)
         mu[lo + 1:hi + 1] = np.linalg.eigvalsh(charts[lo + 1:hi + 1])
-        scale[lo:hi] = _mobius_scale(phis[:, :n, :], mu[lo:hi])
+        dens = phis[:, :n, :n] + phis[:, :n, n:] @ charts[lo:hi]
+        top_norms = np.sqrt(np.linalg.eigvalsh(phis[:, :n] @ phis[:, :n].swapaxes(1, 2))[:, -1])
+        scale = top_norms * np.maximum(1.0, np.abs(mu[lo:hi]).max(axis=1))
+        sv_min = np.linalg.svd(dens, compute_uv=False)[:, -1]
+        with np.errstate(divide="ignore"):
+            cond[lo:hi] = np.where(sv_min == 0.0, np.inf, scale / sv_min)
+        den_signs[lo:hi] = np.linalg.slogdet(dens)[0]
 
-    # the conditioning _mobius_apply measures, for all steps at once
-    sv_min = np.linalg.svd(dens, compute_uv=False)[:, -1]
-    with np.errstate(divide="ignore"):
-        cond = np.where(sv_min == 0.0, np.inf, scale / sv_min)
-    defects = np.abs(unsymmetrized - unsymmetrized.transpose(0, 2, 1)).max(axis=(1, 2))
-    den_signs = np.linalg.slogdet(dens)[0]
-    for m, (c, d, sign) in halved.items():
-        cond[m], defects[m], den_signs[m] = c, d, sign
+    den_signs[list(halved)] = list(halved.values())
     flag = cond > 1.0 / CHART_TOL
     flag[list(halved)] = True
     flagged = tuple(int(m) + 1 for m in np.flatnonzero(flag))
@@ -321,4 +335,4 @@ def integrate_chart(
     theta = _unwound_theta(mu, den_signs)
     return ChartPath(grid=grid, charts=charts, mu=mu, phases=phases, theta=theta,
                      den_signs=den_signs, result=_count_steps(grid, phases, theta),
-                     flagged_samples=flagged, max_symmetry_defect=float(defects.max()))
+                     flagged_samples=flagged, max_symmetry_defect=defect)

@@ -38,7 +38,9 @@ SINGULAR_MU = 1.0 / math.tan(0.5 * CHART_TOL)
 HYPERBOLICITY = 1e-8
 # default far-field consistency tolerance for fields that do not declare their own
 FARFIELD_DEFAULT = 1e-8
-# unitarity defect above which integrate_unitary re-projects
+# unitarity defect above which integrate_unitary re-projects; also the bound
+# on the roundoff eps prod (1 + ||M_i - I||_F)^2 of a run of scanned Moebius
+# maps, which ends the runs of both routes (riccati._run_ends)
 REPROJECT_DEFECT = 1e-12
 # largest change of any entry of u between consecutive unitary samples
 U_JUMP_REJECT = 0.5

@@ -10,7 +10,8 @@ and the angle accumulates as ``dtheta = -2i tr(sigma_step)``, which is exact on
 the group and needs no branch unwinding.  The order-2 Moebius scheme steps u
 by the linear fractional map the chart route's propagators induce on it, and
 the angle by -2 arg det of that map's denominator; since those maps compose,
-a run of steps is one prefix scan of its maps.
+a run of steps is one prefix scan of its maps, the march the chart route
+takes on its propagators (``riccati._moebius_run``).
 """
 
 from __future__ import annotations
@@ -20,14 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, StepSizeError, StructureError
-from .matrixkit import _solve, det_phase, mat_exp, sym_eig
+from .matrixkit import det_phase, mat_exp, sym_eig
 from .riccati import (
     BLOCK_STEPS,
     MaslovResult,
     SymmetricChart,
     _count_steps,
+    _moebius_run,
     _principal_phases,
     _propagators,
+    _run_ends,
 )
 from .system import CoefficientField, LagrangianFrame, SymplecticCoefficients
 from .tolerances import CIRCLE_CONSISTENCY, REPROJECT_DEFECT, U_JUMP_REJECT, UNITARY_TYPE
@@ -147,33 +150,6 @@ def _moebius_matrices(phis: np.ndarray) -> np.ndarray:
     return maps
 
 
-def _moebius_run(maps: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The samples u_1, ..., u_k that a run of maps M_0, ..., M_{k-1}, a
-    stack (k, 2n, 2n), makes from u_0 = ``u``, by a prefix scan.
-
-    Hillis-Steele doubling makes the products T_j = M_j ... M_0 in
-    ceil(log2 k) stacked matmuls; then [X_j; Y_j] = T_j [I; u_0] and
-    u_{j+1} = Y_j X_j^{-1} in one stacked solve.  A run of one map is the
-    single step (R + S u)(P + Q u)^{-1} with the same operations.
-    X_j is the product of the denominators P_i + Q_i u_i of steps i <= j, so
-    when a solve is exactly singular the first X_j whose slogdet sign is 0
-    names the first exactly singular step j: only the j samples before it
-    are returned.
-    """
-    n = u.shape[0]
-    prods, shift = maps, 1
-    while shift < len(prods):
-        prods = np.concatenate([prods[:shift], prods[shift:] @ prods[:-shift]])
-        shift *= 2
-    w = prods[:, :, n:] @ u + prods[:, :, :n]  # [X_j; Y_j]
-    dens, nums = w[:, :n].swapaxes(1, 2), w[:, n:].swapaxes(1, 2)
-    try:
-        return _solve(dens, nums).swapaxes(1, 2)
-    except np.linalg.LinAlgError:
-        j = int(np.flatnonzero(np.linalg.slogdet(dens)[0] == 0)[0])
-        return _solve(dens[:j], nums[:j]).swapaxes(1, 2)
-
-
 def integrate_unitary(
     field: CoefficientField,
     lam: float,
@@ -194,19 +170,14 @@ def integrate_unitary(
 
     ``scheme="moebius"`` (order 2) steps u by the linear fractional map of
     the chart route's midpoint propagators, built ``BLOCK_STEPS`` steps at a
-    time (``_moebius_matrices``): u -> (R + S u)(P + Q u)^{-1}.  The maps
-    compose, so each run of steps is one prefix scan (``_moebius_run``):
-    the run's cumulative maps T_j = M_j ... M_start give every sample
-    u_{j+1} = Y_j X_j^{-1} from [X_j; Y_j] = T_j [I; u_start], with no loop
-    over steps.  A run ends at the longest prefix whose roundoff bound
-    eps prod (1 + ||M_i - I||_F)^2 stays within ``REPROJECT_DEFECT``, and
-    has at least one step; a run of one map is the single step.  The
-    denominator P + Q u = q' + ip' is invertible for every plane; each
-    step's is formed from its sample, and theta moves by
-    -2 arg det(P + Q u), exact while the true step is below 2 pi; the path
-    carries no ``sigmas``.  X_j is the product of the run's denominators up
-    to step j, so the first X_j that is exactly singular names the first
-    exactly singular denominator: that step raises ``StructureError``.
+    time (``_moebius_matrices``): u -> (R + S u)(P + Q u)^{-1}.  Each run of
+    steps (``_run_ends``) is one prefix scan of its maps (``_moebius_run``),
+    as on the chart route; no loop over steps is left.  The denominator
+    P + Q u = q' + ip' is invertible for every plane; each step's is formed
+    from its sample, and theta moves by -2 arg det(P + Q u), exact while the
+    true step is below 2 pi; the path carries no ``sigmas``.  An exactly
+    singular denominator (``_moebius_run`` names its step) raises
+    ``StructureError``.
 
     On either scheme the unitarity and symmetry defects of every raw product
     are measured, as stacks once a run of products is made: the first step
@@ -239,12 +210,6 @@ def integrate_unitary(
     else:
         sigmas = None
         dens = np.empty((nsteps, n, n), dtype=complex)
-        eye2 = np.eye(2 * n)
-        # a run's products grow eps of roundoff by at most prod (1 + ||M - I||_F)^2:
-        # runs keep the log of that product within growth_limit (-inf when
-        # REPROJECT_DEFECT is 0, so every run is one map)
-        with np.errstate(divide="ignore"):
-            growth_limit = np.log(REPROJECT_DEFECT / np.finfo(float).eps)
     us[0] = u0.mat
     eye = np.eye(n)
     max_u_defect = 0.0
@@ -260,9 +225,7 @@ def integrate_unitary(
             c_conjs = np.conj(c_rots)
         else:
             maps = _moebius_matrices(_propagators(field, grid[lo:hi], grid[lo + 1:hi + 1], lam))
-            # growth[i]: log of prod (1 + ||M - I||_F)^2 over the block's first i maps
-            growth = np.concatenate([[0.0], np.cumsum(2.0 * np.log1p(
-                np.linalg.norm(maps - eye2, axis=(1, 2))))])
+            ends = _run_ends(maps, REPROJECT_DEFECT)
         # Step a run of raw products into us, then measure their defects at
         # once.  Steps after the first one over a bound are dropped and made
         # again from its re-projected product.  A run after a re-projection
@@ -286,9 +249,7 @@ def integrate_unitary(
                     # the products made before it are measured first
                     stop, failure = m, exc
             else:
-                last = int(np.searchsorted(growth, growth[start - lo] + growth_limit,
-                                           side="right")) - 1
-                stop = min(stop, lo + max(start - lo + 1, last))
+                stop = min(stop, lo + ends[start - lo])
                 run = maps[start - lo:stop - lo]
                 made = _moebius_run(run, u)
                 us[start + 1:start + 1 + len(made)] = made

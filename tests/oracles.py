@@ -3,8 +3,9 @@
 Everything here deliberately avoids the package's own numerics: the shooting
 oracle integrates the scalar ODE with scipy's adaptive RK, ranks come from
 plain SVD, the 2x2 eigenvalues from the quadratic formula, the chart
-Riccati right-hand side is the formula itself, and passages through pi are
-read off continuous eigenphase branches one branch at a time.
+Riccati right-hand side and the one-step Moebius action are the formulas
+themselves, and passages through pi are read off continuous eigenphase
+branches one branch at a time.
 """
 
 from __future__ import annotations
@@ -20,6 +21,30 @@ def riccati_rhs(s, coeffs) -> np.ndarray:
     m = s.mat
     rhs = coeffs.c + coeffs.d @ m - m @ (coeffs.a + coeffs.b @ m)
     return 0.5 * (rhs + rhs.T)
+
+
+def mobius_apply(s: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, float, float, float]:
+    """One step of the chart Moebius action s -> (C + D s)(A + B s)^{-1} by
+    the propagator ``phi`` = [[A, B], [C, D]], the per-step reference for the
+    chart route's scanned runs; returns (new s, effective denominator
+    condition, pre-symmetrization defect, sign of det of the denominator).
+
+    The effective condition compares the smallest singular value of the
+    denominator against the scale of its inputs, ||[A B]||_2 max(1, ||s||_2);
+    the plain condition number is blind to a uniformly tiny denominator
+    (always 1 for n = 1).
+    """
+    n = s.shape[0]
+    num = phi[n:, :n] + phi[n:, n:] @ s
+    den = phi[:n, :n] + phi[:n, n:] @ s
+    sv_min = float(np.linalg.svd(den, compute_uv=False)[-1])
+    scale = float(np.linalg.norm(phi[:n], 2)) * max(1.0, float(np.linalg.norm(s, 2)))
+    cond = np.inf if sv_min == 0.0 else scale / sv_min
+    if not np.isfinite(cond):
+        raise np.linalg.LinAlgError("Moebius denominator exactly singular")
+    s_new = np.linalg.solve(den.T, num.T).T
+    defect = float(np.max(np.abs(s_new - s_new.T)))
+    return 0.5 * (s_new + s_new.T), cond, defect, float(np.linalg.slogdet(den)[0])
 
 
 def eig2x2_quadratic(m: np.ndarray) -> np.ndarray:

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import maslovflow.riccati as riccati_mod
 from maslovflow import (
     StructureError,
     SymmetricChart,
@@ -13,11 +16,12 @@ from maslovflow import (
     singular_eigenvalue_count,
     validate_coefficients,
 )
-from maslovflow.riccati import BLOCK_STEPS, _mobius_apply
+from maslovflow.riccati import BLOCK_STEPS, _count_steps, _principal_phases, _unwound_theta
 from maslovflow.selftest import planted_rank_loss_frame
-from maslovflow.tolerances import CHART_TOL, SINGULAR_MU
+from maslovflow.tolerances import CHART_SYMMETRY, CHART_TOL, SINGULAR_MU
 from conftest import constant_field, random_lagrangian_frame
 from oracles import (
+    mobius_apply,
     poschl_teller_potential,
     riccati_rhs,
     shooting_node_count,
@@ -215,12 +219,12 @@ class TestIntegrateChart:
 
 def _chart_per_step(field, lam, grid, s0):
     """Reference chart path one step at a time: the scalar field evaluation,
-    one propagator and one _mobius_apply per step."""
+    one propagator and one Moebius apply per step."""
     s, charts, flagged, worst, signs = s0.mat, [s0.mat], [], 0.0, []
     for m in range(grid.size - 1):
         h = grid[m + 1] - grid[m]
         phi = mat_exp(h * field.evaluate(grid[m] + 0.5 * h, lam).full())
-        s, cond, defect, sign = _mobius_apply(s, phi)
+        s, cond, defect, sign = mobius_apply(s, phi)
         if cond > 1.0 / CHART_TOL:
             flagged.append(m + 1)
         worst = max(worst, defect)
@@ -231,34 +235,132 @@ def _chart_per_step(field, lam, grid, s0):
 
 class TestBlockedChart:
     """integrate_chart builds propagators and conditioning for blocks of
-    steps; the path must be the one stepped one at a time."""
+    steps and marches each run of steps by one prefix scan.  With runs of
+    one map (run bound 0) the path must be the one stepped one at a time,
+    bit for bit; with the default runs it must be that path up to roundoff,
+    with the same flags and denominator signs."""
+
+    @staticmethod
+    def _assert_scanned_matches_per_step(monkeypatch, field, lam, grid, s0):
+        charts, flagged, worst, signs = _chart_per_step(field, lam, grid, s0)
+        with monkeypatch.context() as patch:
+            patch.setattr(riccati_mod, "REPROJECT_DEFECT", 0.0)
+            stepped = integrate_chart(field, lam, grid, s0)
+        assert np.array_equal(stepped.charts, charts)
+        assert stepped.flagged_samples == flagged
+        assert stepped.max_symmetry_defect == worst
+        assert np.array_equal(stepped.den_signs, signs)
+        path = integrate_chart(field, lam, grid, s0)
+        assert path.flagged_samples == flagged
+        assert np.array_equal(path.den_signs, signs)
+        gaps = np.linalg.norm(path.charts - charts, axis=(1, 2))
+        assert np.max(gaps / np.linalg.norm(charts, axis=(1, 2))) <= 1e-10
+        assert np.max(np.abs(path.theta - stepped.theta)) <= 1e-11
+        assert path.max_symmetry_defect < CHART_SYMMETRY
+        return flagged, signs
 
     @pytest.mark.parametrize("name, lam", [("kdv7", 0.05), ("poschl_teller:2", -0.5)])
-    def test_flags_and_defect_match_per_step_reference(self, name, lam):
+    def test_flags_and_defect_match_per_step_reference(self, monkeypatch, name, lam):
         field = get_model(name)
         grid = np.linspace(field.x_minus, field.x_plus, 4001)
         s0 = chart_from_frame(farfield_frame(field.farfield_minus(lam), "unstable"))
-        path = integrate_chart(field, lam, grid, s0)
-        charts, flagged, worst, signs = _chart_per_step(field, lam, grid, s0)
+        flagged, signs = self._assert_scanned_matches_per_step(monkeypatch, field, lam, grid, s0)
         assert flagged  # the row passes chart singularities
-        assert path.flagged_samples == flagged
-        assert path.max_symmetry_defect == worst
-        assert np.array_equal(path.charts, charts)
-        assert np.array_equal(path.den_signs, signs)
         assert np.any(signs < 0)
 
     @pytest.mark.parametrize("npoints", [2, BLOCK_STEPS + 1, BLOCK_STEPS + 2, 2 * BLOCK_STEPS + 89])
-    def test_grid_lengths_across_blocks(self, npoints):
+    def test_grid_lengths_across_blocks(self, monkeypatch, npoints):
         field = get_model("kdv7")
         lam = 0.1
         grid = -3.0 + 0.01 * np.arange(npoints)
         s0 = SymmetricChart(np.diag([0.5, -1.0, 2.0]))
-        path = integrate_chart(field, lam, grid, s0)
-        charts, flagged, worst, signs = _chart_per_step(field, lam, grid, s0)
-        assert np.array_equal(path.charts, charts)
-        assert path.flagged_samples == flagged
-        assert path.max_symmetry_defect == worst
-        assert np.array_equal(path.den_signs, signs)
+        self._assert_scanned_matches_per_step(monkeypatch, field, lam, grid, s0)
+
+    def test_runs_scanned_not_stepped(self, monkeypatch):
+        # a structural guard: one solve per run, not one per step
+        solve = riccati_mod._solve
+        calls = []
+
+        def counting_solve(a, b):
+            calls.append(None)
+            return solve(a, b)
+
+        monkeypatch.setattr(riccati_mod, "_solve", counting_solve)
+        field = get_model("kdv7")
+        grid = np.linspace(-20.0, 20.0, 4001)
+        s0 = chart_from_frame(farfield_frame(field.farfield_minus(0.05), "unstable"))
+        path = integrate_chart(field, 0.05, grid, s0)
+        assert path.flagged_samples  # the row passes chart singularities
+        assert 0 < len(calls) <= 100
+
+
+    @pytest.mark.parametrize("bad", [0, 100, BLOCK_STEPS, BLOCK_STEPS + 40, 474])
+    def test_exactly_singular_step_taken_as_half_steps(self, monkeypatch, bad):
+        # step bad's propagator gets a zero first row, so its denominator
+        # A + B s, and the X_j of the scan that ends there, are exactly
+        # singular: that step is taken as two half steps of the true field
+        # and its sample flagged; a singular half step is refused.  In step
+        # 474 an eigenvalue of s passes infinity: the halves' sign product
+        # is -1
+        field = get_model("kdv7")
+        grid = np.linspace(-20.0, 20.0, 1001)
+        s0 = chart_from_frame(farfield_frame(field.farfield_minus(0.05), "unstable"))
+        reference = integrate_chart(field, 0.05, grid, s0)
+        assert list(np.flatnonzero(reference.den_signs < 0)) == [474, 641]
+        made = riccati_mod._propagators
+
+        def injected(field, x_lo, x_hi, lam, halves_too=False):
+            phis = made(field, x_lo, x_hi, lam)
+            hit = (x_lo == grid[bad]) & ((x_hi == grid[bad + 1]) | halves_too)
+            phis[hit, 0] = 0.0
+            return phis
+
+        monkeypatch.setattr(riccati_mod, "_propagators", injected)
+        path = integrate_chart(field, 0.05, grid, s0)
+        assert set(path.flagged_samples) == set(reference.flagged_samples) | {bad + 1}
+        assert np.array_equal(path.den_signs, reference.den_signs)
+        assert (path.result.unsigned_count, path.result.signed_index) == \
+            (reference.result.unsigned_count, reference.result.signed_index)
+        assert np.max(np.abs(path.theta - reference.theta)) < 1e-6
+        monkeypatch.setattr(riccati_mod, "_propagators",
+                            lambda *args: injected(*args, halves_too=True))
+        with pytest.raises(np.linalg.LinAlgError, match="exactly singular"):
+            integrate_chart(field, 0.05, grid, s0)
+
+
+def _cayley_images(charts):
+    """u = (I - i s)(I + i s)^{-1} of each chart of a stack, by plain solves."""
+    eye = np.eye(charts.shape[-1])
+    return np.linalg.solve(eye + 1j * charts, eye - 1j * charts)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), omega=st.floats(1.0, 4.0),
+       nsteps=st.integers(BLOCK_STEPS - 16, 2 * BLOCK_STEPS + 16))
+def test_scanned_chart_matches_per_step(n, seed, omega, nsteps):
+    # a constant field that turns every chart eigenvalue through infinity
+    # several times (b = -c = -omega I, plus a random sp(R^2n) part), on
+    # grids that straddle a block end: the scanned path has the per-step
+    # path's crossings and denominator signs, and its Cayley images are the
+    # per-step ones up to roundoff
+    rng = np.random.default_rng(seed)
+    noise = _random_coeffs(rng, n)
+    w = omega * np.eye(n)
+    coeffs = validate_coefficients(0.2 * noise.a, 0.2 * noise.b - w, 0.2 * noise.c + w,
+                                   0.2 * noise.d)
+    field = constant_field(coeffs, 0.0, 3.0)
+    grid = np.linspace(0.0, 3.0, nsteps + 1)
+    s0 = SymmetricChart(0.5 * rng.standard_normal((n, n)))
+    path = integrate_chart(field, 0.0, grid, s0)
+    charts, _, _, signs = _chart_per_step(field, 0.0, grid, s0)
+    assert np.any(signs < 0)
+    assert np.array_equal(path.den_signs, signs)
+    mu = np.linalg.eigvalsh(charts)
+    expected = _count_steps(grid, _principal_phases(-2.0 * np.arctan(mu)),
+                            _unwound_theta(mu, signs))
+    assert path.result.unsigned_count == expected.unsigned_count > 0
+    assert path.result.signed_index == expected.signed_index
+    assert np.max(np.abs(_cayley_images(path.charts) - _cayley_images(charts))) <= 1e-9
 
 
 class TestSingularEigenvalueCount:

@@ -33,7 +33,7 @@ from maslovflow.riccati import BLOCK_STEPS, _count_steps, _principal_phases
 from maslovflow.tolerances import CIRCLE_CONSISTENCY, REPROJECT_DEFECT
 from maslovflow.unitary import _polar_symmetric_project
 from conftest import constant_field, random_lagrangian_frame
-from oracles import riccati_rhs
+from oracles import mobius_apply, riccati_rhs
 
 
 def _random_coeffs(rng, n):
@@ -555,15 +555,16 @@ class TestMoebiusScheme:
     @pytest.mark.parametrize("name, lam, nsteps, limit", [
         ("kdv7", 0.1, 4000, 100), ("poschl_teller:2", -1.0, 1000, 40)])
     def test_runs_scanned_not_stepped(self, monkeypatch, name, lam, nsteps, limit):
-        # a structural guard: one solve per run, not one per step
-        solve = unitary_mod._solve
+        # a structural guard: one solve per run, not one per step (the scan
+        # both routes share lives in riccati)
+        solve = riccati_mod._solve
         calls = []
 
         def counting_solve(a, b):
             calls.append(None)
             return solve(a, b)
 
-        monkeypatch.setattr(unitary_mod, "_solve", counting_solve)
+        monkeypatch.setattr(riccati_mod, "_solve", counting_solve)
         field = get_model(name)
         integrate_unitary(field, lam, np.linspace(-20.0, 20.0, nsteps + 1), _start(field, lam),
                           scheme="moebius")
@@ -645,7 +646,7 @@ def test_moebius_steps_compose(n, seed, h1, h2):
 
     def chart_step(s, phi):
         assume(np.linalg.cond(phi[:n, :n] + phi[:n, n:] @ s) <= 1e8)
-        return riccati_mod._mobius_apply(s, phi)[0]
+        return mobius_apply(s, phi)[0]
 
     def unitary_step(u, mob):
         den, num = mob[:n, :n] + mob[:n, n:] @ u, mob[n:, :n] + mob[n:, n:] @ u
